@@ -96,8 +96,7 @@ def _cmd_mean_closed(args) -> int:
 def _cmd_mean_oracle(args) -> int:
     moments = _resolve_moments(args, 2 * args.l)
     result = enumeration.exact_trace_moment(
-        args.l, args.p, args.n, moments,
-        allow_large=args.allow_large, workers=args.workers,
+        args.l, args.p, args.n, moments, allow_large=args.allow_large
     )
     payload = {
         "op": "mean-oracle",
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", help="preset moment sequence")
     p.add_argument("--moments", help="explicit comma-separated rational moments")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
 
     p = add("cov-closed", _cmd_cov_closed, help="covariance expansion by the closed form")
     p.add_argument("--l1", type=int, required=True)

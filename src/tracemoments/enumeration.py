@@ -1,22 +1,21 @@
 """Brute-force oracle: exhaustive route enumeration behind every closed form.
 
-Correctness and auditability outrank speed here; the only concessions are a
-signature cache (weights depend just on the multiset of reversed-adjacency
-entries) and an optional process pool that partitions the route space by its
-leading entries.  Partial sums are exact rationals, so any reduction order
-gives identical results.
+Correctness and auditability outrank speed here.  The one concession is the
+signature census: a walk's weight depends only on the multiset of its
+reversed-adjacency exponents, so means and covariances alike count route
+pairs by exponent signature once and weigh each signature once.  Partial sums
+are exact rationals, so any reduction order gives identical results.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     Route,
@@ -26,13 +25,17 @@ from .graphs import (
     classify_leaf_free_double,
     classify_leaf_free_route,
     compact_labels,
-    reversed_edge_counts,
     route_edges,
     trim_double,
     trim_route,
     zip_routes,
 )
-from .weights import AffineAlpha, MomentSequence, weight_of_exponents
+from .weights import (
+    AffineAlpha,
+    MomentSequence,
+    covariance_weight_of_exponents,
+    weight_of_exponents,
+)
 
 MEAN_POWER_LIMIT = 4
 COVARIANCE_POWER_LIMIT = 4
@@ -98,12 +101,28 @@ def iter_route_pairs(l: int, r: int, b: int) -> Iterator[tuple[Route, Route]]:
             yield i, k
 
 
+def _double_route_pairs(
+    l1: int, l2: int, r: int, b: int
+) -> Iterator[tuple[Route, Route, Route, Route]]:
+    """iter_route_pairs(l1+l2, r, b) with both routes split after l1.
+
+    Each (i, k, j, m) is a double walk: (i, k) and (j, m) jointly cover the
+    black labels [b] exactly and the other labels [r]\\[b].
+    """
+    _validate_pair_params(l1 + l2, r, b)
+    split_ks = [(k[:l1], k[l1:]) for k in _covering_tuples(l1 + l2, r, b)]
+    for ij in _surjections(l1 + l2, b):
+        i, j = ij[:l1], ij[l1:]
+        for k, m in split_ks:
+            yield i, k, j, m
+
+
 # ---------------------------------------------------------------------------
-# weighted inner sums via exponent signatures
+# the signature census and its weighted inner sums
 
 
-def _pair_signature(i: Route, k: Route) -> tuple[int, ...]:
-    """Sorted reversed-adjacency entries of the zipped walk of (i, k)."""
+def _walk_counts(i: Route, k: Route) -> dict[tuple[int, int], int]:
+    """Reversed-adjacency counts of the zipped walk of (i, k)."""
     l = len(i)
     counts: dict[tuple[int, int], int] = {}
     for t in range(l):
@@ -112,59 +131,83 @@ def _pair_signature(i: Route, k: Route) -> tuple[int, ...]:
         counts[e] = counts.get(e, 0) + 1
         e = (i[(t + 1) % l], kt)
         counts[e] = counts.get(e, 0) + 1
-    return tuple(sorted(counts.values()))
+    return counts
 
 
-def _census_chunk(args: tuple[int, int, int, tuple[Route, ...]]) -> Counter:
-    l, r, b, i_chunk = args
-    ks = _covering_tuples(l, r, b)
-    census: Counter = Counter()
-    for i in i_chunk:
-        for k in ks:
-            census[_pair_signature(i, k)] += 1
-    return census
+_SIGNATURE_CACHE: dict[tuple[tuple[int, ...], int, int], Counter] = {}
 
 
-_SIGNATURE_CACHE: dict[tuple[int, int, int], Counter] = {}
+def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
+    """Count canonical route pairs by the exponent signature of their walks.
 
-
-def signature_census(l: int, r: int, b: int, *, workers: int | None = None) -> Counter:
-    """Count canonical route pairs by the multiset of their weight exponents."""
-    _validate_pair_params(l, r, b)
-    key = (l, r, b)
+    `lengths` is (l,) for one walk or (l1, l2) for a double walk, whose route
+    pairs of length l1+l2 are split after l1.  A walk's key is its sorted
+    reversed-adjacency exponents; a double walk's key is (joint, first,
+    second), the sorted exponents of the pair and of each walk.
+    """
+    if len(lengths) not in (1, 2):
+        raise ValueError(f"need one or two walk lengths, got {lengths}")
+    key = (lengths, r, b)
     cached = _SIGNATURE_CACHE.get(key)
     if cached is not None:
         return cached
-    i_list = _surjections(l, b)
-    if workers and workers > 1 and len(i_list) >= workers:
-        chunks = [
-            (l, r, b, i_list[j::workers]) for j in range(workers) if i_list[j::workers]
-        ]
-        census: Counter = Counter()
-        with multiprocessing.Pool(processes=workers) as pool:
-            for partial in pool.map(_census_chunk, chunks):
-                census.update(partial)
+    census: Counter = Counter()
+    if len(lengths) == 1:
+        for i, k in iter_route_pairs(lengths[0], r, b):
+            census[tuple(sorted(_walk_counts(i, k).values()))] += 1
     else:
-        census = _census_chunk((l, r, b, i_list))
+        for i, k, j, m in _double_route_pairs(*lengths, r, b):
+            first = _walk_counts(i, k)
+            second = _walk_counts(j, m)
+            joint = dict(first)
+            for edge, c in second.items():
+                joint[edge] = joint.get(edge, 0) + c
+            census[(
+                tuple(sorted(joint.values())),
+                tuple(sorted(first.values())),
+                tuple(sorted(second.values())),
+            )] += 1
     _SIGNATURE_CACHE[key] = census
     return census
 
 
-def inner_weight_sum(
-    l: int, r: int, b: int, moments: MomentSequence, *, workers: int | None = None
+def _inner_sum(
+    lengths: tuple[int, ...], r: int, b: int, moments: MomentSequence
 ) -> Fraction:
-    """Sum of walk weights over all canonical route pairs for (l, r, b)."""
-    if moments.order < 2 * l:
-        raise ValueError(f"moment sequence must cover order {2 * l}")
+    """Weighted census: walk weights for one walk, covariance weights for two."""
+    order = 2 * sum(lengths)
+    if moments.order < order:
+        raise ValueError(f"moment sequence must cover order {order}")
+    single = len(lengths) == 1
     total = Fraction(0)
-    for signature, count in signature_census(l, r, b, workers=workers).items():
-        w = weight_of_exponents(signature, moments)
+    for signature, count in signature_census(lengths, r, b).items():
+        if single:
+            w = weight_of_exponents(signature, moments)
+        else:
+            w = covariance_weight_of_exponents(*signature, moments)
         if w:
             total += w * count
     return total
 
 
-def inner_weight_sum_affine(l: int, r: int, b: int, *, workers: int | None = None):
+def _affine(inner: Callable[[MomentSequence], Fraction], order: int) -> AffineAlpha:
+    """An inner sum as c0 + c1*alpha, read off at alpha = 0 and alpha = 1.
+
+    Valid when no walk reaches moments beyond the fourth; the formal moment
+    sequences used here are realised by no distribution.
+    """
+    zeros = [0] * (order - 4)
+    at0 = inner(MomentSequence([1, 0, 1, 0, 0] + zeros, warn_suspicious=False))
+    at1 = inner(MomentSequence([1, 0, 1, 0, 1] + zeros, warn_suspicious=False))
+    return AffineAlpha(at0, at1 - at0)
+
+
+def inner_weight_sum(l: int, r: int, b: int, moments: MomentSequence) -> Fraction:
+    """Sum of walk weights over all canonical route pairs for (l, r, b)."""
+    return _inner_sum((l,), r, b, moments)
+
+
+def inner_weight_sum_affine(l: int, r: int, b: int) -> AffineAlpha:
     """Inner weight sum as an exact affine function of the fourth moment.
 
     Only meaningful for r >= l: walks on that many vertices never contribute
@@ -172,20 +215,25 @@ def inner_weight_sum_affine(l: int, r: int, b: int, *, workers: int | None = Non
     """
     if r < l:
         raise ValueError("affine extraction needs r >= l")
-    zeros = [0] * (2 * l - 4)
-    at0 = inner_weight_sum(
-        l, r, b, MomentSequence([1, 0, 1, 0, 0] + zeros, warn_suspicious=False),
-        workers=workers,
+    return _affine(lambda moments: inner_weight_sum(l, r, b, moments), 2 * l)
+
+
+def covariance_inner_sum(
+    l1: int, l2: int, b: int, moments: MomentSequence
+) -> Fraction:
+    """Inner covariance sum at exactly r = l1 + l2 vertices (Theorem 2's core)."""
+    return _inner_sum((l1, l2), l1 + l2, b, moments)
+
+
+def covariance_inner_sum_affine(l1: int, l2: int, b: int) -> AffineAlpha:
+    """covariance_inner_sum as an exact affine function of the fourth moment."""
+    return _affine(
+        lambda moments: covariance_inner_sum(l1, l2, b, moments), 2 * (l1 + l2)
     )
-    at1 = inner_weight_sum(
-        l, r, b, MomentSequence([1, 0, 1, 0, 1] + zeros, warn_suspicious=False),
-        workers=workers,
-    )
-    return AffineAlpha(at0, at1 - at0)
 
 
 # ---------------------------------------------------------------------------
-# exact trace moments
+# exact trace moments and power-trace covariances
 
 
 @dataclass(frozen=True)
@@ -202,90 +250,42 @@ class ExactMomentResult:
     terms: tuple[MomentTerm, ...]
 
 
-def exact_trace_moment(
-    l: int,
-    p: int,
-    n: int,
-    moments: MomentSequence,
-    *,
-    allow_large: bool = False,
-    workers: int | None = None,
+def _exact_sum(
+    total: int, p: int, n: int, inner: Callable[[int, int], Fraction]
 ) -> ExactMomentResult:
-    """Exact E[tr(S^l)] for a p x n data matrix with the given entry moments.
+    """Sum of C(rows,b) C(cols-b,r-b) inner(r, b) / n^total over (r, b).
 
     The route decomposition needs the smaller dimension on the row side; for
     p > n the value is reduced through tr(S_{p,n}^l) = (p/n)^l tr(S_{n,p}^l),
     which folds into the same sum with the roles of p and n swapped in the
-    binomials (the 1/n^l scale absorbs the ratio exactly).  The reported b
-    then counts distinct indexes of the smaller dimension.
+    binomials (the 1/n^total scale absorbs the ratio exactly).  The reported
+    b then counts distinct indexes of the smaller dimension.
     """
-    if l < 1 or p < 1 or n < 1:
-        raise ValueError(f"l, p, n must be positive, got {(l, p, n)}")
-    _check_guard(l, MEAN_POWER_LIMIT, allow_large, "l")
-    if moments.order < 2 * l:
-        raise ValueError(f"moment sequence must cover order {2 * l}")
     rows, cols = min(p, n), max(p, n)
-    scale = Fraction(1, n**l)
+    scale = Fraction(1, n**total)
     terms: list[MomentTerm] = []
     value = Fraction(0)
-    for r in range(1, min(2 * l, cols) + 1):
-        for b in range(1, min(l, r, rows) + 1):
-            if r - b > l:  # k has only l slots to cover the new labels
+    for r in range(1, min(2 * total, cols) + 1):
+        for b in range(1, min(total, r, rows) + 1):
+            if r - b > total:  # k has only `total` slots to cover the new labels
                 continue
-            inner = inner_weight_sum(l, r, b, moments, workers=workers)
-            if inner == 0:
+            inner_sum = inner(r, b)
+            if inner_sum == 0:
                 continue
             multiplicity = Fraction(comb(rows, b) * comb(cols - b, r - b))
-            terms.append(MomentTerm(r, b, multiplicity, inner))
-            value += multiplicity * inner * scale
+            terms.append(MomentTerm(r, b, multiplicity, inner_sum))
+            value += multiplicity * inner_sum * scale
     return ExactMomentResult(value, tuple(terms))
 
 
-# ---------------------------------------------------------------------------
-# exact power-trace covariances
-
-
-def _joint_black_pairs(l1: int, l2: int, b: int) -> tuple[tuple[Route, Route], ...]:
-    """All (i, j) in [b]^l1 x [b]^l2 whose joint value set is exactly [b]."""
-    full = set(range(1, b + 1))
-    out = []
-    for i in itertools.product(range(1, b + 1), repeat=l1):
-        have = set(i)
-        for j in itertools.product(range(1, b + 1), repeat=l2):
-            if have | set(j) == full:
-                out.append((i, j))
-    return tuple(out)
-
-
-def _joint_covering_pairs(
-    l1: int, l2: int, r: int, b: int
-) -> tuple[tuple[Route, Route], ...]:
-    """All (k, m) in [r]^l1 x [r]^l2 jointly covering {b+1..r}."""
-    needed = set(range(b + 1, r + 1))
-    if len(needed) > l1 + l2:
-        return ()
-    out = []
-    for k in itertools.product(range(1, r + 1), repeat=l1):
-        missing = needed - set(k)
-        for m in itertools.product(range(1, r + 1), repeat=l2):
-            if missing.issubset(m):
-                out.append((k, m))
-    return tuple(out)
-
-
-def _covariance_weight_details(
-    i: Route, k: Route, j: Route, m: Route, moments: MomentSequence
-) -> Fraction:
-    c1 = reversed_edge_counts(zip_routes(i, k))
-    c2 = reversed_edge_counts(zip_routes(j, m))
-    combined = dict(c1)
-    for edge, c in c2.items():
-        combined[edge] = combined.get(edge, 0) + c
-    joint = weight_of_exponents(combined.values(), moments)
-    separate = weight_of_exponents(c1.values(), moments) * weight_of_exponents(
-        c2.values(), moments
-    )
-    return joint - separate
+def exact_trace_moment(
+    l: int, p: int, n: int, moments: MomentSequence, *, allow_large: bool = False
+) -> ExactMomentResult:
+    """Exact E[tr(S^l)] for a p x n data matrix with the given entry moments."""
+    if l < 1 or p < 1 or n < 1:
+        raise ValueError(f"l, p, n must be positive, got {(l, p, n)}")
+    _check_guard(l, MEAN_POWER_LIMIT, allow_large, "l")
+    return _exact_sum(l, p, n, lambda r, b: inner_weight_sum(l, r, b, moments))
 
 
 def exact_trace_covariance(
@@ -297,47 +297,13 @@ def exact_trace_covariance(
     *,
     allow_large: bool = False,
 ) -> Fraction:
-    """Exact Cov[tr(S^l1), tr(S^l2)] by enumeration of quadruple routes.
-
-    As in exact_trace_moment, p > n reduces through the transposition
-    identity, leaving one sum with the smaller dimension on the row side.
-    """
+    """Exact Cov[tr(S^l1), tr(S^l2)] from the double-walk signature census."""
     if min(l1, l2, p, n) < 1:
         raise ValueError(f"l1, l2, p, n must be positive, got {(l1, l2, p, n)}")
     _check_guard(l1 + l2, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
-    if moments.order < 2 * (l1 + l2):
-        raise ValueError(f"moment sequence must cover order {2 * (l1 + l2)}")
-    rows, cols = min(p, n), max(p, n)
-    scale = Fraction(1, n ** (l1 + l2))
-    total = Fraction(0)
-    for r in range(1, min(2 * (l1 + l2), cols) + 1):
-        for b in range(1, min(l1 + l2, r, rows) + 1):
-            if r - b > l1 + l2:
-                continue
-            km_pairs = _joint_covering_pairs(l1, l2, r, b)
-            if not km_pairs:
-                continue
-            inner = Fraction(0)
-            for i, j in _joint_black_pairs(l1, l2, b):
-                for k, m in km_pairs:
-                    inner += _covariance_weight_details(i, k, j, m, moments)
-            if inner == 0:
-                continue
-            total += Fraction(comb(rows, b) * comb(cols - b, r - b)) * inner * scale
-    return total
-
-
-def covariance_inner_sum(
-    l1: int, l2: int, b: int, moments: MomentSequence
-) -> Fraction:
-    """Inner covariance sum at exactly r = l1 + l2 vertices (Theorem 2's core)."""
-    r = l1 + l2
-    inner = Fraction(0)
-    km_pairs = _joint_covering_pairs(l1, l2, r, b)
-    for i, j in _joint_black_pairs(l1, l2, b):
-        for k, m in km_pairs:
-            inner += _covariance_weight_details(i, k, j, m, moments)
-    return inner
+    return _exact_sum(
+        l1 + l2, p, n, lambda r, b: _inner_sum((l1, l2), r, b, moments)
+    ).value
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +316,7 @@ def census_by_seed(
     """Seed-class census of walks on exactly l vertices with black set [b]."""
     if not 1 <= b <= l:
         raise ValueError(f"need 1 <= b <= l, got b={b}, l={l}")
-    if l > CENSUS_VERTEX_LIMIT and not allow_large:
-        raise CostGuardError(
-            f"l={l} exceeds the census cost guard {CENSUS_VERTEX_LIMIT}"
-        )
+    _check_guard(l, CENSUS_VERTEX_LIMIT, allow_large, "l")
     buckets: dict[SeedClass, int] = {}
     for i, k in iter_route_pairs(l, l, b):
         seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
@@ -376,24 +339,21 @@ def census_double(
     if not 1 <= b <= l1 + l2:
         raise ValueError(f"need 1 <= b <= l1+l2, got b={b}")
     _check_guard(l1 + l2, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
-    r = l1 + l2
     buckets: dict[DoubleBucket, int] = {}
-    km_pairs = _joint_covering_pairs(l1, l2, r, b)
     blacks = frozenset(range(1, b + 1))
-    for i, j in _joint_black_pairs(l1, l2, b):
-        for k, m in km_pairs:
-            first = zip_routes(i, k)
-            second = zip_routes(j, m)
-            seed1, seed2 = trim_double(first, second)
-            seed_class = classify_leaf_free_double(seed1, seed2)
-            split = (
-                len((set(first) & blacks) - set(seed1)),
-                len((set(second) & blacks) - set(seed2)),
-                len((set(first) - blacks) - set(seed1)),
-                len((set(second) - blacks) - set(seed2)),
-            )
-            key = (seed_class, split)
-            buckets[key] = buckets.get(key, 0) + 1
+    for i, k, j, m in _double_route_pairs(l1, l2, l1 + l2, b):
+        first = zip_routes(i, k)
+        second = zip_routes(j, m)
+        seed1, seed2 = trim_double(first, second)
+        seed_class = classify_leaf_free_double(seed1, seed2)
+        split = (
+            len((set(first) & blacks) - set(seed1)),
+            len((set(second) & blacks) - set(seed2)),
+            len((set(first) - blacks) - set(seed1)),
+            len((set(second) - blacks) - set(seed2)),
+        )
+        key = (seed_class, split)
+        buckets[key] = buckets.get(key, 0) + 1
     return buckets
 
 

@@ -14,10 +14,10 @@ from typing import Mapping
 
 import numpy as np
 
+from .weights import distribution_name, preset_moments
+
 RNG_ALGORITHM = "philox4x64 keyed by (seed, batch)"
 BATCH_SIZE = 1024
-
-DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class SimulationConfig:
             raise ValueError("trace powers must be distinct")
         if self.replications < 100:
             raise ValueError("need at least 100 replications")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+        # aliases such as "normal" name the same preset as in the oracle
+        object.__setattr__(self, "distribution", distribution_name(self.distribution))
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must fit in 64 bits")
 
@@ -166,11 +166,18 @@ def _z_score(empirical: float, exact: float | None, se: float) -> float | None:
 
 
 def _jackknife_cov_se(x: np.ndarray, y: np.ndarray) -> float:
-    """Leave-one-out jackknife standard error of the sample covariance."""
+    """Leave-one-out jackknife standard error of the sample covariance.
+
+    On centred data c the covariance leaving out i is
+    (sum(c_x c_y) - r/(r-1) c_x,i c_y,i) / (r-2), so the leave-one-out values
+    spread as the products c_x,i c_y,i do.  Centring first keeps large means
+    from cancelling the spread away, as raw sums would.
+    """
     r = len(x)
-    sx, sy, sxy = x.sum(), y.sum(), float(x @ y)
-    loo = (sxy - x * y - (sx - x) * (sy - y) / (r - 1)) / (r - 2)
-    return math.sqrt((r - 1) / r * float(((loo - loo.mean()) ** 2).sum()))
+    products = (x - x.mean()) * (y - y.mean())
+    products -= products.mean()
+    spread = math.sqrt((r - 1) / r * float(products @ products))
+    return r / ((r - 1) * (r - 2)) * spread
 
 
 def simulate(
@@ -221,7 +228,6 @@ def oracle_references(
         exact_trace_covariance,
         exact_trace_moment,
     )
-    from .weights import preset_moments
 
     max_l = max(config.l_list)
     means: dict[int, Fraction] = {}

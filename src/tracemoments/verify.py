@@ -16,7 +16,7 @@ from .graphs import (
     one_d_ring,
     two_d_ring,
 )
-from .weights import AffineAlpha, MomentSequence
+from .weights import AffineAlpha
 
 
 def _suite_taylor(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
@@ -227,15 +227,9 @@ def _suite_cov_coeffs(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
     cases, failures = 0, []
     for l1 in range(1, max_l):
         for l2 in range(1, max_l - l1 + 1):
-            order = 2 * (l1 + l2)
-            zeros = [0] * (order - 4)
-            at0 = MomentSequence([1, 0, 1, 0, 0] + zeros, warn_suspicious=False)
-            at1 = MomentSequence([1, 0, 1, 0, 1] + zeros, warn_suspicious=False)
             for b in range(1, l1 + l2 + 1):
                 cases += 1
-                s0 = enumeration.covariance_inner_sum(l1, l2, b, at0)
-                s1 = enumeration.covariance_inner_sum(l1, l2, b, at1)
-                got = AffineAlpha(s0, s1 - s0)
+                got = enumeration.covariance_inner_sum_affine(l1, l2, b)
                 c = closedform.C_coeff(l1, l2, b)
                 d = closedform.D_coeff(l1, l2, b)
                 if got != AffineAlpha(Fraction(c - 3 * d), Fraction(d)):

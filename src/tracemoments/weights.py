@@ -126,15 +126,21 @@ _PRESET_ALIASES = {
 PRESET_NAMES = ("gaussian", "rademacher", "uniform")
 
 
+def distribution_name(name: str) -> str:
+    """The preset a distribution tag or one of its aliases stands for."""
+    key = _PRESET_ALIASES.get(name.lower())
+    if key is None:
+        raise ValueError(f"unknown distribution tag {name!r} (try {PRESET_NAMES})")
+    return key
+
+
 def preset_moments(name: str, order: int) -> MomentSequence:
     """Moment sequence of a named entry distribution, up to the given order.
 
     gaussian: m_{2k} = (2k-1)!!, rademacher: m_{2k} = 1, uniform: the moments
     of sqrt(3)*U[-1,1] (fourth moment 9/5).  Odd moments vanish for all three.
     """
-    key = _PRESET_ALIASES.get(name.lower())
-    if key is None:
-        raise ValueError(f"unknown distribution tag {name!r} (try {PRESET_NAMES})")
+    key = distribution_name(name)
     if order < 4:
         raise ValueError("presets must cover at least the fourth moment")
     values = [Fraction(0)] * (order + 1)
@@ -175,6 +181,19 @@ def weight(graph: CircuitMultigraph, moments: MomentSequence) -> Fraction:
     )
 
 
+def covariance_weight_of_exponents(
+    joint: Iterable[int],
+    first: Iterable[int],
+    second: Iterable[int],
+    moments: MomentSequence,
+) -> Fraction:
+    """Weight of the joint exponents minus the product of the walks' weights."""
+    separate = weight_of_exponents(first, moments) * weight_of_exponents(
+        second, moments
+    )
+    return weight_of_exponents(joint, moments) - separate
+
+
 def covariance_weight(
     double: DoubleCircuitMultigraph, moments: MomentSequence
 ) -> Fraction:
@@ -184,11 +203,9 @@ def covariance_weight(
     combined = dict(c1)
     for edge, c in c2.items():
         combined[edge] = combined.get(edge, 0) + c
-    joint = weight_of_exponents(combined.values(), moments)
-    separate = weight_of_exponents(c1.values(), moments) * weight_of_exponents(
-        c2.values(), moments
+    return covariance_weight_of_exponents(
+        combined.values(), c1.values(), c2.values(), moments
     )
-    return joint - separate
 
 
 def classified_weight(seed_class: SeedClass, alpha: Rational) -> Fraction:

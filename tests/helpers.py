@@ -1,9 +1,17 @@
-"""Shared enumeration utilities for the tests: route spaces and Prufer trees."""
+"""Shared enumeration utilities for the tests: route spaces, Prufer trees and
+a per-quadruple reference for the covariance oracle."""
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import comb
+
+from tracemoments.enumeration import iter_route_pairs
+from tracemoments.graphs import build_double_graph, zip_routes
+from tracemoments.weights import covariance_weight
 
 
 def canonical_patterns(length: int, blocks: int | None = None):
@@ -75,3 +83,38 @@ def spanning_trees_of_complete_bipartite(b_side: int, w_side: int):
         edges = prufer_to_tree(seq, n)
         if all((u in left) != (v in left) for u, v in edges):
             yield edges
+
+
+def split_route_pairs(l1: int, l2: int, r: int, b: int):
+    """Route quadruples (i, k, j, m): iter_route_pairs(l1+l2, r, b) split after l1."""
+    for ij, km in iter_route_pairs(l1 + l2, r, b):
+        yield ij[:l1], km[:l1], ij[l1:], km[l1:]
+
+
+@lru_cache(maxsize=None)
+def reference_covariance_inner_sum(
+    l1: int, l2: int, r: int, b: int, moments
+) -> Fraction:
+    """Covariance weights summed one double graph at a time, with no census."""
+    total = Fraction(0)
+    for i, k, j, m in split_route_pairs(l1, l2, r, b):
+        double = build_double_graph(zip_routes(i, k), zip_routes(j, m))
+        total += covariance_weight(double, moments)
+    return total
+
+
+def reference_trace_covariance(l1: int, l2: int, p: int, n: int, moments) -> Fraction:
+    """Cov[tr(S^l1), tr(S^l2)] by the per-quadruple sum, a reference for the oracle.
+
+    The smaller dimension sits on the row side, as in the oracle; for p > n
+    the 1/n^(l1+l2) scale carries the transposition ratio.
+    """
+    total = l1 + l2
+    rows, cols = min(p, n), max(p, n)
+    value = Fraction(0)
+    for r in range(1, min(2 * total, cols) + 1):
+        for b in range(1, min(total, r, rows) + 1):
+            if r - b <= total:
+                inner = reference_covariance_inner_sum(l1, l2, r, b, moments)
+                value += comb(rows, b) * comb(cols - b, r - b) * inner
+    return value / n**total

@@ -119,6 +119,15 @@ def test_simulate_json_and_csv(capsys):
     assert lines[1].startswith("mean,1,")
 
 
+def test_distribution_aliases_agree_across_commands(capsys):
+    args = ["simulate", "--p", "2", "--n", "3", "--l", "1,2", "--reps", "200",
+            "--seed", "5", "--no-timestamp", "--dist"]
+    status, normal, _ = run_cli(capsys, *args, "normal")
+    assert status == 0
+    _, gaussian, _ = run_cli(capsys, *args, "gaussian")
+    assert normal == gaussian
+
+
 def test_determinism(capsys):
     args = ["mean-closed", "--l", "3", "--p", "2", "--n", "5", "--dist", "uniform",
             "--no-timestamp"]
@@ -158,6 +167,15 @@ def test_usage_errors_exit_one(capsys):
         capsys, "mean-oracle", "--l", "5", "--p", "2", "--n", "5", "--dist", "gaussian"
     )
     assert status == 1 and "cost guard" in err
+
+
+def test_workers_option_is_gone(capsys):
+    status, out, err = run_cli(
+        capsys, "mean-oracle", "--l", "2", "--p", "2", "--n", "3",
+        "--dist", "gaussian", "--workers", "2",
+    )
+    assert status == 1 and out == ""
+    assert "--workers" in err and "Traceback" not in err
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
+from helpers import reference_trace_covariance, split_route_pairs
 from tracemoments.closedform import (
     A_coeff,
     B_coeff,
@@ -18,9 +20,6 @@ from tracemoments.closedform import (
 from tracemoments.enumeration import (
     CostGuardError,
     _SIGNATURE_CACHE,
-    _covariance_weight_details,
-    _joint_black_pairs,
-    _joint_covering_pairs,
     census_by_seed,
     census_double,
     census_sprouting,
@@ -32,8 +31,18 @@ from tracemoments.enumeration import (
     iter_route_pairs,
     signature_census,
 )
-from tracemoments.graphs import double_two_d_ring, two_d_ring
-from tracemoments.weights import AffineAlpha, MomentSequence, preset_moments
+from tracemoments.graphs import (
+    build_double_graph,
+    double_two_d_ring,
+    two_d_ring,
+    zip_routes,
+)
+from tracemoments.weights import (
+    AffineAlpha,
+    MomentSequence,
+    covariance_weight,
+    preset_moments,
+)
 
 GAUSSIAN_8 = preset_moments("gaussian", 8)
 
@@ -64,6 +73,26 @@ def test_iter_route_pairs_count():
                 assert len(list(iter_route_pairs(l, r, b))) == surj(l, b) * covering(
                     l, r, b
                 )
+
+
+def test_split_route_pairs_are_the_double_walks():
+    # split after l1, the pairs of length l1+l2 are exactly the quadruples
+    # whose black routes jointly cover [b] and whose routes jointly cover
+    # [r]\\[b], in the same order as a direct nested enumeration
+    for l1, l2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
+        for r in range(1, 2 * (l1 + l2) + 1):
+            for b in range(1, min(l1 + l2, r) + 1):
+                blacks, needed = set(range(1, b + 1)), set(range(b + 1, r + 1))
+                expected = [
+                    (i, k, j, m)
+                    for i in product(range(1, b + 1), repeat=l1)
+                    for j in product(range(1, b + 1), repeat=l2)
+                    if set(i) | set(j) == blacks
+                    for k in product(range(1, r + 1), repeat=l1)
+                    for m in product(range(1, r + 1), repeat=l2)
+                    if needed <= set(k) | set(m)
+                ]
+                assert list(split_route_pairs(l1, l2, r, b)) == expected, (l1, l2, r, b)
 
 
 def test_iter_route_pairs_validation():
@@ -158,12 +187,27 @@ def test_exact_trace_covariance_no_support_beyond_vertex_budget():
     for l1, l2 in [(1, 1), (1, 2)]:
         for r in range(l1 + l2 + 1, 2 * (l1 + l2) + 1):
             for b in range(1, min(l1 + l2, r) + 1):
-                km = _joint_covering_pairs(l1, l2, r, b)
                 total = Fraction(0)
-                for i, j in _joint_black_pairs(l1, l2, b):
-                    for k, m in km:
-                        total += _covariance_weight_details(i, k, j, m, moments)
+                for i, k, j, m in split_route_pairs(l1, l2, r, b):
+                    double = build_double_graph(zip_routes(i, k), zip_routes(j, m))
+                    total += covariance_weight(double, moments)
                 assert total == 0, (l1, l2, r, b)
+
+
+SKEWED_8 = MomentSequence.parse("1,0,1,1,3,2,15,5,105")
+
+
+@pytest.mark.parametrize("l1,l2", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)])
+def test_covariance_census_matches_per_quadruple_reference(l1, l2):
+    # the signature census weighs each (joint, first, second) exponent
+    # signature once; the reference weighs every double graph on its own.
+    # At 4 x 8 and 8 x 4 every (r, b) with r <= 2(l1+l2), b <= l1+l2 occurs.
+    presets = [preset_moments(name, 8) for name in ("gaussian", "rademacher", "uniform")]
+    for moments in presets + [SKEWED_8]:
+        for p, n in [(4, 8), (8, 4)]:
+            assert exact_trace_covariance(l1, l2, p, n, moments) == (
+                reference_trace_covariance(l1, l2, p, n, moments)
+            ), (l1, l2, p, n, moments)
 
 
 def _brute_force_mean(l: int, p: int, n: int, moments) -> Fraction:
@@ -228,17 +272,24 @@ def test_cost_guards():
     with pytest.raises(CostGuardError):
         census_by_seed(6, 1)
     with pytest.raises(CostGuardError):
+        census_by_seed(7, 1, allow_large=True)
+    with pytest.raises(CostGuardError):
         census_double(2, 3, 1)
 
 
-def test_parallel_matches_sequential():
+def test_covariance_census_is_cached_per_lengths_r_b():
     clear_caches()
-    parallel = signature_census(3, 3, 2, workers=2)
+    census = signature_census((2, 1), 3, 2)
+    assert sum(census.values()) == len(list(split_route_pairs(2, 1, 3, 2)))
+    assert signature_census((2, 1), 3, 2) is census
+    # the split point, r and b are all part of the key
+    for key in [((1, 2), 3, 2), ((2, 1), 4, 2), ((2, 1), 3, 1), ((3,), 3, 2)]:
+        assert signature_census(*key) is not census
+    assert set(_SIGNATURE_CACHE) == {
+        ((2, 1), 3, 2), ((1, 2), 3, 2), ((2, 1), 4, 2), ((2, 1), 3, 1), ((3,), 3, 2)
+    }
     clear_caches()
-    sequential = signature_census(3, 3, 2)
-    assert parallel == sequential
-    assert (3, 3, 2) in _SIGNATURE_CACHE
-    clear_caches()
+    assert not _SIGNATURE_CACHE
 
 
 def test_census_by_seed_examples():

@@ -10,6 +10,7 @@ import pytest
 from tracemoments.montecarlo import (
     ExactReferences,
     SimulationConfig,
+    _jackknife_cov_se,
     oracle_references,
     sample_traces,
     simulate,
@@ -100,6 +101,16 @@ def test_jackknife_se_is_sane():
         assert stat.se > 0
         # the jackknife error of these covariances is far below their size
         assert stat.se < abs(stat.empirical)
+
+
+def test_jackknife_se_is_shift_invariant():
+    # unit-spread data far from zero must not lose the error to cancellation
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(2000)
+    y = x + rng.standard_normal(2000)
+    se = _jackknife_cov_se(x, y)
+    assert se > 0
+    assert _jackknife_cov_se(x + 1e8, y + 1e8) == pytest.approx(se, rel=1e-6)
 
 
 def test_report_serialization():

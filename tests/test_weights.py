@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import canonical_patterns, surjective_routes
-from tracemoments.enumeration import _joint_black_pairs, _joint_covering_pairs
+from helpers import canonical_patterns, split_route_pairs, surjective_routes
 from tracemoments.graphs import (
     balanced_leaf_labels,
     build_double_graph,
@@ -29,6 +28,7 @@ from tracemoments.weights import (
     classified_covariance_weight,
     classified_weight,
     covariance_weight,
+    covariance_weight_of_exponents,
     preset_alpha,
     preset_moments,
     weight,
@@ -112,6 +112,9 @@ def test_covariance_weight_examples():
     ) == 1
     rademacher = preset_moments("rademacher", 8)
     assert covariance_weight(build_double_graph((1, 2), (1, 2)), rademacher) == 0
+    # the same rule on exponents: the shared edge (1, 2) appears twice per walk
+    assert covariance_weight_of_exponents((4,), (2,), (2,), gaussian) == 2
+    assert covariance_weight_of_exponents((1, 1), (1,), (1,), gaussian) == 0
 
 
 def test_weight_invariant_under_leaf_removal():
@@ -192,16 +195,14 @@ def test_covariance_classification_law():
     for l1, l2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
         r = l1 + l2
         for b in range(1, r + 1):
-            km = _joint_covering_pairs(l1, l2, r, b)
-            for i, j in _joint_black_pairs(l1, l2, b):
-                for k, m in km:
-                    first, second = zip_routes(i, k), zip_routes(j, m)
-                    double = build_double_graph(first, second)
-                    seed_class = classify_leaf_free_double(*trim_double(first, second))
-                    for moments, alpha in presets:
-                        assert covariance_weight(double, moments) == (
-                            classified_covariance_weight(seed_class, alpha)
-                        ), (first, second, alpha)
+            for i, k, j, m in split_route_pairs(l1, l2, r, b):
+                first, second = zip_routes(i, k), zip_routes(j, m)
+                double = build_double_graph(first, second)
+                seed_class = classify_leaf_free_double(*trim_double(first, second))
+                for moments, alpha in presets:
+                    assert covariance_weight(double, moments) == (
+                        classified_covariance_weight(seed_class, alpha)
+                    ), (first, second, alpha)
 
 
 def test_covariance_weight_vanishes_beyond_vertex_budget():
@@ -210,8 +211,6 @@ def test_covariance_weight_vanishes_beyond_vertex_budget():
     for l1, l2 in [(1, 1), (1, 2)]:
         r = l1 + l2 + 1
         for b in range(1, min(l1 + l2, r) + 1):
-            km = _joint_covering_pairs(l1, l2, r, b)
-            for i, j in _joint_black_pairs(l1, l2, b):
-                for k, m in km:
-                    double = build_double_graph(zip_routes(i, k), zip_routes(j, m))
-                    assert covariance_weight(double, gaussian) == 0
+            for i, k, j, m in split_route_pairs(l1, l2, r, b):
+                double = build_double_graph(zip_routes(i, k), zip_routes(j, m))
+                assert covariance_weight(double, gaussian) == 0
