@@ -1,10 +1,13 @@
-"""Brute-force oracle: exhaustive route enumeration behind every closed form.
+"""Exact oracle: enumeration behind every closed form, independent of it.
 
-Correctness and auditability outrank speed here.  The one concession is the
-signature census: a walk's weight depends only on the multiset of its
-reversed-adjacency exponents, so means and covariances alike count route
-pairs by exponent signature once and weigh each signature once.  Partial sums
-are exact rationals, so any reduction order gives identical results.
+A walk's weight depends only on the multiset of its reversed-adjacency
+exponents, so means and covariances alike count route pairs by exponent
+signature and weigh each signature once.  The signature depends only on which
+row positions and which column positions share a label, so the census runs
+over pairs of set partitions of the positions and counts each with the number
+of labelled route pairs it stands for.  The seed-class censuses trim labelled
+walks and still visit every route pair.  Partial sums are exact rationals, so
+any reduction order gives identical results.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, perm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -134,6 +137,28 @@ def _walk_counts(i: Route, k: Route) -> dict[tuple[int, int], int]:
     return counts
 
 
+@lru_cache(maxsize=None)
+def _set_partitions(length: int) -> tuple[tuple[Route, int], ...]:
+    """Set partitions of `length` positions as restricted growth strings.
+
+    Each string labels its blocks 1, 2, ... in order of first occurrence and
+    comes with its block count.
+    """
+    strings: list[tuple[Route, int]] = []
+
+    def grow(prefix: list[int], blocks: int) -> None:
+        if len(prefix) == length:
+            strings.append((tuple(prefix), blocks))
+            return
+        for v in range(1, blocks + 2):
+            prefix.append(v)
+            grow(prefix, max(blocks, v))
+            prefix.pop()
+
+    grow([], 0)
+    return tuple(strings)
+
+
 _SIGNATURE_CACHE: dict[tuple[tuple[int, ...], int, int], Counter] = {}
 
 
@@ -144,6 +169,13 @@ def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
     pairs of length l1+l2 are split after l1.  A walk's key is its sorted
     reversed-adjacency exponents; a double walk's key is (joint, first,
     second), the sorted exponents of the pair and of each walk.
+
+    The key depends only on which row positions (of i) and which column
+    positions (of k) share a label, so the census runs over pairs (pi, sigma)
+    of set partitions of the positions.  With |pi| = b and |sigma| = s, a
+    pair stands for b! (s)_{r-b} (b)_{s-r+b} route pairs: i labels pi's
+    blocks with [b] in any order, and k gives the r-b labels of [r]\\[b] to
+    distinct blocks of sigma and distinct labels of [b] to the rest.
     """
     if len(lengths) not in (1, 2):
         raise ValueError(f"need one or two walk lengths, got {lengths}")
@@ -151,22 +183,36 @@ def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
     cached = _SIGNATURE_CACHE.get(key)
     if cached is not None:
         return cached
+    total = sum(lengths)
+    _validate_pair_params(total, r, b)
+    partitions = _set_partitions(total)
+    rows = [pi for pi, blocks in partitions if blocks == b]
+    labelled_rows = factorial(b)
+    columns = [
+        (sigma, labelled_rows * perm(s, r - b) * perm(b, s - r + b))
+        for sigma, s in partitions
+        if r - b <= s <= r
+    ]
     census: Counter = Counter()
     if len(lengths) == 1:
-        for i, k in iter_route_pairs(lengths[0], r, b):
-            census[tuple(sorted(_walk_counts(i, k).values()))] += 1
+        for k, multiplicity in columns:
+            for i in rows:
+                census[tuple(sorted(_walk_counts(i, k).values()))] += multiplicity
     else:
-        for i, k, j, m in _double_route_pairs(*lengths, r, b):
-            first = _walk_counts(i, k)
-            second = _walk_counts(j, m)
-            joint = dict(first)
-            for edge, c in second.items():
-                joint[edge] = joint.get(edge, 0) + c
-            census[(
-                tuple(sorted(joint.values())),
-                tuple(sorted(first.values())),
-                tuple(sorted(second.values())),
-            )] += 1
+        l1 = lengths[0]
+        for km, multiplicity in columns:
+            k, m = km[:l1], km[l1:]
+            for ij in rows:
+                first = _walk_counts(ij[:l1], k)
+                second = _walk_counts(ij[l1:], m)
+                joint = dict(first)
+                for edge, c in second.items():
+                    joint[edge] = joint.get(edge, 0) + c
+                census[(
+                    tuple(sorted(joint.values())),
+                    tuple(sorted(first.values())),
+                    tuple(sorted(second.values())),
+                )] += multiplicity
     _SIGNATURE_CACHE[key] = census
     return census
 
@@ -483,5 +529,6 @@ def census_sprouting(
 def clear_caches() -> None:
     """Drop memoized enumerations (mostly useful in long-lived sessions)."""
     _SIGNATURE_CACHE.clear()
+    _set_partitions.cache_clear()
     _surjections.cache_clear()
     _covering_tuples.cache_clear()

@@ -173,6 +173,12 @@ def remove_leaf_from_route(route: Sequence[int], leaf: int) -> Route:
         raise ValueError("walks with at most two steps have no balanced leaves")
     if leaf not in balanced_leaf_labels(route):
         raise ValueError(f"vertex {leaf} is not a balanced leaf of {tuple(route)}")
+    return _drop_leaf(route, leaf)
+
+
+def _drop_leaf(route: Sequence[int], leaf: int) -> Route:
+    """remove_leaf_from_route for a leaf already known to be balanced."""
+    n = len(route)
     t = route.index(leaf)
     out = list(route)
     if t == n - 1:
@@ -189,7 +195,7 @@ def trim_route(route: Sequence[int]) -> Route:
         leaves = balanced_leaf_labels(current)
         if not leaves:
             return current
-        current = remove_leaf_from_route(current, leaves[0])
+        current = _drop_leaf(current, leaves[0])
 
 
 def classify_leaf_free_route(route: Sequence[int]) -> SeedClass:
@@ -381,9 +387,9 @@ def trim_double(first: Sequence[int], second: Sequence[int]) -> tuple[Route, Rou
             return r1, r2
         v, side = min(candidates)
         if side == 1:
-            r1 = remove_leaf_from_route(r1, v)
+            r1 = _drop_leaf(r1, v)
         else:
-            r2 = remove_leaf_from_route(r2, v)
+            r2 = _drop_leaf(r2, v)
 
 
 class DoubleCircuitMultigraph:

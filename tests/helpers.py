@@ -1,16 +1,18 @@
-"""Shared enumeration utilities for the tests: route spaces, Prufer trees and
-a per-quadruple reference for the covariance oracle."""
+"""Shared enumeration utilities for the tests: route spaces, Prufer trees, a
+route-pair reference for the signature census and a per-quadruple reference
+for the covariance oracle."""
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
 
 from tracemoments.enumeration import iter_route_pairs
-from tracemoments.graphs import build_double_graph, zip_routes
+from tracemoments.graphs import build_double_graph, reversed_edge_counts, zip_routes
 from tracemoments.weights import covariance_weight
 
 
@@ -89,6 +91,26 @@ def split_route_pairs(l1: int, l2: int, r: int, b: int):
     """Route quadruples (i, k, j, m): iter_route_pairs(l1+l2, r, b) split after l1."""
     for ij, km in iter_route_pairs(l1 + l2, r, b):
         yield ij[:l1], km[:l1], ij[l1:], km[l1:]
+
+
+def reference_signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
+    """signature_census by visiting every labelled route pair, one at a time."""
+    census: Counter = Counter()
+    if len(lengths) == 1:
+        for i, k in iter_route_pairs(lengths[0], r, b):
+            counts = reversed_edge_counts(zip_routes(i, k))
+            census[tuple(sorted(counts.values()))] += 1
+        return census
+    for i, k, j, m in split_route_pairs(*lengths, r, b):
+        first = reversed_edge_counts(zip_routes(i, k))
+        second = reversed_edge_counts(zip_routes(j, m))
+        joint = Counter(first) + Counter(second)
+        census[(
+            tuple(sorted(joint.values())),
+            tuple(sorted(first.values())),
+            tuple(sorted(second.values())),
+        )] += 1
+    return census
 
 
 @lru_cache(maxsize=None)

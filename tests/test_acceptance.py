@@ -144,15 +144,15 @@ def test_criterion_07_theorem1_error_scaling():
                 exact = exact_trace_moment(2, p, n, moments).value
                 truncated = theorem1_mean(2, p, n)[0].evaluate(alpha)
                 assert exact - truncated == Fraction(p * alpha, n**2), (p, n, alpha)
-    moments = preset_moments("gaussian", 6)
-    scaled = []
-    for n in (8, 16, 32, 64):
-        exact = exact_trace_moment(3, 2, n, moments).value
-        residual = exact - theorem1_mean(3, 2, n)[0].evaluate(3)
-        scaled.append(abs(float(residual)) * n**2)
-    for a, b in zip(scaled, scaled[1:]):
-        assert a <= 2 * b and b <= 2 * a, scaled
-    _passed("07 theorem-1 residuals: exact p*alpha/n^2 at l=2; bounded n^2-scaling at l=3")
+    for l in (3, 5):
+        scaled = []
+        for n in (8, 16, 32, 64):
+            exact = exact_trace_moment(l, 2, n, GAUSSIAN[10], allow_large=True).value
+            residual = exact - theorem1_mean(l, 2, n)[0].evaluate(3)
+            scaled.append(abs(float(residual)) * n**2)
+        for a, b in zip(scaled, scaled[1:]):
+            assert a <= 2 * b and b <= 2 * a, (l, scaled)
+    _passed("07 theorem-1 residuals: exact p*alpha/n^2 at l=2; bounded n^2-scaling at l=3, 5")
 
 
 def test_criterion_08_theorem2_small_case():
@@ -167,7 +167,17 @@ def test_criterion_08_theorem2_small_case():
                 assert exact - truncated.evaluate(alpha) == Fraction(
                     p, n**2
                 ) * (alpha - 1), (p, n, alpha)
-    _passed("08 theorem-2 at (1,1): p(n-1)(alpha-1)/n^2 with residual p(alpha-1)/n^2")
+    scaled = []
+    for n in (8, 16, 32):
+        exact = exact_trace_covariance(3, 2, 2, n, GAUSSIAN[10], allow_large=True)
+        residual = exact - theorem2_cov(3, 2, 2, n)[0].evaluate(3)
+        scaled.append(abs(float(residual)) * n**2)
+    for a, b in zip(scaled, scaled[1:]):
+        assert a <= 2 * b and b <= 2 * a, scaled
+    _passed(
+        "08 theorem-2 at (1,1): p(n-1)(alpha-1)/n^2 with residual p(alpha-1)/n^2;"
+        " bounded n^2-scaling at (3,2)"
+    )
 
 
 def test_criterion_09_taylor_identity():

@@ -8,7 +8,11 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import reference_trace_covariance, split_route_pairs
+from helpers import (
+    reference_signature_census,
+    reference_trace_covariance,
+    split_route_pairs,
+)
 from tracemoments.closedform import (
     A_coeff,
     B_coeff,
@@ -20,6 +24,7 @@ from tracemoments.closedform import (
 from tracemoments.enumeration import (
     CostGuardError,
     _SIGNATURE_CACHE,
+    _set_partitions,
     census_by_seed,
     census_double,
     census_sprouting,
@@ -277,9 +282,31 @@ def test_cost_guards():
         census_double(2, 3, 1)
 
 
+def _census_keys(total: int):
+    for lengths in [(total,)] + [(l1, total - l1) for l1 in range(1, total)]:
+        for r in range(1, 2 * total + 1):
+            for b in range(1, min(total, r) + 1):
+                yield lengths, r, b
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [key for total in range(1, 5) for key in _census_keys(total)],
+        [((5,), 5, 3), ((5,), 6, 2), ((5,), 3, 3), ((3, 2), 5, 2), ((2, 3), 5, 2)],
+    ],
+    ids=["sum<=4", "l=5"],
+)
+def test_signature_census_matches_route_pair_reference(keys):
+    # the set-partition census against the census of every labelled route pair
+    for key in keys:
+        assert signature_census(*key) == reference_signature_census(*key), key
+
+
 def test_covariance_census_is_cached_per_lengths_r_b():
     clear_caches()
     census = signature_census((2, 1), 3, 2)
+    assert _set_partitions.cache_info().currsize == 1
     assert sum(census.values()) == len(list(split_route_pairs(2, 1, 3, 2)))
     assert signature_census((2, 1), 3, 2) is census
     # the split point, r and b are all part of the key
@@ -290,6 +317,8 @@ def test_covariance_census_is_cached_per_lengths_r_b():
     }
     clear_caches()
     assert not _SIGNATURE_CACHE
+    # the partition strings go too, so the next census starts cold
+    assert _set_partitions.cache_info().currsize == 0
 
 
 def test_census_by_seed_examples():
