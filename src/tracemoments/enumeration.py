@@ -6,8 +6,9 @@ signature and weigh each signature once.  The signature depends only on which
 row positions and which column positions share a label, so the census runs
 over pairs of set partitions of the positions and counts each with the number
 of labelled route pairs it stands for.  The seed-class censuses trim labelled
-walks and still visit every route pair.  Partial sums are exact rationals, so
-any reduction order gives identical results.
+walks, whose label order matters, so they keep the labels and instead visit
+one route pair per rotation orbit, weighted by the orbit size.  Partial sums
+are exact rationals, so any reduction order gives identical results.
 """
 
 from __future__ import annotations
@@ -104,20 +105,29 @@ def iter_route_pairs(l: int, r: int, b: int) -> Iterator[tuple[Route, Route]]:
             yield i, k
 
 
-def _double_route_pairs(
-    l1: int, l2: int, r: int, b: int
-) -> Iterator[tuple[Route, Route, Route, Route]]:
-    """iter_route_pairs(l1+l2, r, b) with both routes split after l1.
+@lru_cache(maxsize=None)
+def _rotation_orbits(lengths: tuple[int, ...], b: int) -> tuple[tuple[Route, int], ...]:
+    """Surjections onto [b], one per orbit of rotating each segment, with orbit size.
 
-    Each (i, k, j, m) is a double walk: (i, k) and (j, m) jointly cover the
-    black labels [b] exactly and the other labels [r]\\[b].
+    A surjection of length sum(lengths) is cut into consecutive segments of the
+    given lengths; the group rotating every segment independently acts on the
+    surjections, since rotation keeps the value set.
     """
-    _validate_pair_params(l1 + l2, r, b)
-    split_ks = [(k[:l1], k[l1:]) for k in _covering_tuples(l1 + l2, r, b)]
-    for ij in _surjections(l1 + l2, b):
-        i, j = ij[:l1], ij[l1:]
-        for k, m in split_ks:
-            yield i, k, j, m
+    seen: set[Route] = set()
+    orbits: list[tuple[Route, int]] = []
+    for t in _surjections(sum(lengths), b):
+        if t in seen:
+            continue
+        rotations = []
+        start = 0
+        for length in lengths:
+            segment = t[start : start + length]
+            start += length
+            rotations.append([segment[s:] + segment[:s] for s in range(length)])
+        orbit = {sum(parts, ()) for parts in itertools.product(*rotations)}
+        seen |= orbit
+        orbits.append((t, len(orbit)))
+    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +369,23 @@ def exact_trace_covariance(
 def census_by_seed(
     l: int, b: int, *, allow_large: bool = False
 ) -> dict[SeedClass, int]:
-    """Seed-class census of walks on exactly l vertices with black set [b]."""
+    """Seed-class census of walks on exactly l vertices with black set [b].
+
+    Counts the route pairs of iter_route_pairs(l, l, b) by the class of their
+    trimmed walk.  Rotating i and k together by one step rotates the zipped
+    walk by two positions, which keeps the trimmed walk's class; k ranges over
+    a rotation-closed set, so each rotation orbit of i is visited once, through
+    one representative, and weighted by its size.
+    """
     if not 1 <= b <= l:
         raise ValueError(f"need 1 <= b <= l, got b={b}, l={l}")
     _check_guard(l, CENSUS_VERTEX_LIMIT, allow_large, "l")
+    ks = _covering_tuples(l, l, b)
     buckets: dict[SeedClass, int] = {}
-    for i, k in iter_route_pairs(l, l, b):
-        seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
-        buckets[seed_class] = buckets.get(seed_class, 0) + 1
+    for i, orbit_size in _rotation_orbits((l,), b):
+        for k in ks:
+            seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
+            buckets[seed_class] = buckets.get(seed_class, 0) + orbit_size
     return buckets
 
 
@@ -380,26 +399,35 @@ def census_double(
 
     Buckets carry the double seed class together with the sprout split
     (b1', b2', w1', w2'): black/white vertices of each component outside the
-    component's share of the seed.
+    component's share of the seed.  The route quadruples are those of
+    iter_route_pairs(l1+l2, l1+l2, b) split after l1.  Rotating (i, k), or
+    (j, m), by one step keeps the bucket, so as in census_by_seed each orbit
+    of (i, j) under independent rotations of i and j is visited once.
     """
+    if l1 < 1 or l2 < 1:
+        raise ValueError(f"l1 and l2 must be positive, got {(l1, l2)}")
     if not 1 <= b <= l1 + l2:
         raise ValueError(f"need 1 <= b <= l1+l2, got b={b}")
     _check_guard(l1 + l2, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
-    buckets: dict[DoubleBucket, int] = {}
+    r = l1 + l2
+    split_ks = [(km[:l1], km[l1:]) for km in _covering_tuples(r, r, b)]
     blacks = frozenset(range(1, b + 1))
-    for i, k, j, m in _double_route_pairs(l1, l2, l1 + l2, b):
-        first = zip_routes(i, k)
-        second = zip_routes(j, m)
-        seed1, seed2 = trim_double(first, second)
-        seed_class = classify_leaf_free_double(seed1, seed2)
-        split = (
-            len((set(first) & blacks) - set(seed1)),
-            len((set(second) & blacks) - set(seed2)),
-            len((set(first) - blacks) - set(seed1)),
-            len((set(second) - blacks) - set(seed2)),
-        )
-        key = (seed_class, split)
-        buckets[key] = buckets.get(key, 0) + 1
+    buckets: dict[DoubleBucket, int] = {}
+    for ij, orbit_size in _rotation_orbits((l1, l2), b):
+        i, j = ij[:l1], ij[l1:]
+        for k, m in split_ks:
+            first = zip_routes(i, k)
+            second = zip_routes(j, m)
+            seed1, seed2 = trim_double(first, second)
+            seed_class = classify_leaf_free_double(seed1, seed2)
+            split = (
+                len((set(first) & blacks) - set(seed1)),
+                len((set(second) & blacks) - set(seed2)),
+                len((set(first) - blacks) - set(seed1)),
+                len((set(second) - blacks) - set(seed2)),
+            )
+            key = (seed_class, split)
+            buckets[key] = buckets.get(key, 0) + orbit_size
     return buckets
 
 
@@ -530,5 +558,6 @@ def clear_caches() -> None:
     """Drop memoized enumerations (mostly useful in long-lived sessions)."""
     _SIGNATURE_CACHE.clear()
     _set_partitions.cache_clear()
+    _rotation_orbits.cache_clear()
     _surjections.cache_clear()
     _covering_tuples.cache_clear()

@@ -142,24 +142,25 @@ def black_labels(route: Sequence[int]) -> frozenset[int]:
 # balanced leaves and trimming (raw-route helpers, original labels kept)
 
 
+def _leaf_scan(route: Sequence[int]) -> tuple[dict[int, int], list[int]]:
+    """Label counts of a route and its balanced leaves."""
+    counts: dict[int, int] = {}
+    for v in route:
+        counts[v] = counts.get(v, 0) + 1
+    return counts, [v for v in counts if _is_leaf(route, counts, v)]
+
+
+def _is_leaf(route: Sequence[int], counts: dict[int, int], v: int) -> bool:
+    """Whether v is a balanced leaf: one entry, between two entries of one label."""
+    if counts[v] != 1 or len(route) <= 2:
+        return False
+    t = route.index(v)
+    return route[t - 1] == route[(t + 1) % len(route)]
+
+
 def balanced_leaf_labels(route: Sequence[int]) -> tuple[int, ...]:
     """Balanced leaves in increasing label order; none when the walk has <= 2 steps."""
-    n = len(route)
-    if n <= 2:
-        return ()
-    positions: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for t, v in enumerate(route):
-        counts[v] = counts.get(v, 0) + 1
-        positions[v] = t
-    leaves = []
-    for v, c in counts.items():
-        if c != 1:
-            continue
-        t = positions[v]
-        if route[t - 1] == route[(t + 1) % n]:
-            leaves.append(v)
-    return tuple(sorted(leaves))
+    return tuple(sorted(_leaf_scan(route)[1]))
 
 
 def remove_leaf_from_route(route: Sequence[int], leaf: int) -> Route:
@@ -173,29 +174,44 @@ def remove_leaf_from_route(route: Sequence[int], leaf: int) -> Route:
         raise ValueError("walks with at most two steps have no balanced leaves")
     if leaf not in balanced_leaf_labels(route):
         raise ValueError(f"vertex {leaf} is not a balanced leaf of {tuple(route)}")
-    return _drop_leaf(route, leaf)
-
-
-def _drop_leaf(route: Sequence[int], leaf: int) -> Route:
-    """remove_leaf_from_route for a leaf already known to be balanced."""
-    n = len(route)
-    t = route.index(leaf)
     out = list(route)
-    if t == n - 1:
-        del out[n - 2 : n]
-    else:
-        del out[t : t + 2]
+    _drop_leaf(out, leaf)
     return tuple(out)
 
 
+def _drop_leaf(route: list[int], leaf: int) -> int:
+    """Remove a known balanced leaf in place; return its neighbour's label.
+
+    Both neighbour copies carry the same label, so dropping either leaves the
+    same cyclic sequence.
+    """
+    n = len(route)
+    t = route.index(leaf)
+    neighbour = route[t - 1]
+    if t == n - 1:
+        del route[n - 2 :]
+    else:
+        del route[t : t + 2]
+    return neighbour
+
+
 def trim_route(route: Sequence[int]) -> Route:
-    """Iteratively remove the lowest-labelled balanced leaf; labels are kept."""
-    current = tuple(route)
-    while True:
-        leaves = balanced_leaf_labels(current)
-        if not leaves:
-            return current
-        current = _drop_leaf(current, leaves[0])
+    """Iteratively remove the lowest-labelled balanced leaf; labels are kept.
+
+    Removing leaf L from ... x u L u y ... leaves ... x u y ...: no label
+    other than u changes count or neighbours, so only u is re-tested.
+    """
+    current = list(route)
+    counts, leaves = _leaf_scan(current)
+    while leaves and len(current) > 2:
+        leaf = min(leaves)
+        leaves.remove(leaf)
+        del counts[leaf]
+        neighbour = _drop_leaf(current, leaf)
+        counts[neighbour] -= 1
+        if _is_leaf(current, counts, neighbour):
+            leaves.append(neighbour)
+    return tuple(current)
 
 
 def classify_leaf_free_route(route: Sequence[int]) -> SeedClass:
@@ -211,6 +227,9 @@ def classify_leaf_free_route(route: Sequence[int]) -> SeedClass:
             return two_d_ring(2)
         return OTHER_SEED
     if r >= 3 and n == 2 * r:
+        # a ring vertex meets two connections of two edges each
+        if any(route.count(v) != 2 for v in verts):
+            return OTHER_SEED
         connections: dict[frozenset[int], list[tuple[int, int]]] = {}
         neighbours: dict[int, set[int]] = {v: set() for v in verts}
         for a, b in route_edges(route):
@@ -372,24 +391,30 @@ def classify_leaf_free_double(first: Sequence[int], second: Sequence[int]) -> Se
 
 
 def trim_double(first: Sequence[int], second: Sequence[int]) -> tuple[Route, Route]:
-    """Trim a pair of routes; a leaf must be unvisited by the other component."""
-    r1, r2 = tuple(first), tuple(second)
-    while True:
-        s1, s2 = set(r1), set(r2)
-        candidates: list[tuple[int, int]] = []
-        for v in balanced_leaf_labels(r1):
-            if v not in s2:
-                candidates.append((v, 1))
-        for v in balanced_leaf_labels(r2):
-            if v not in s1:
-                candidates.append((v, 2))
-        if not candidates:
-            return r1, r2
-        v, side = min(candidates)
-        if side == 1:
-            r1 = _drop_leaf(r1, v)
-        else:
-            r2 = _drop_leaf(r2, v)
+    """Trim a pair of routes; a leaf must be unvisited by the other component.
+
+    Lowest label first over both routes.  Trimming never removes a label that
+    the other route visits, so whether a label is visited by the other route
+    only changes for the removed leaf itself; as in trim_route, only the
+    neighbour of each removed leaf is re-tested.
+    """
+    routes = (list(first), list(second))
+    (counts1, leaves1), (counts2, leaves2) = _leaf_scan(routes[0]), _leaf_scan(routes[1])
+    counts = (counts1, counts2)
+    queue = [(v, 0) for v in leaves1 if v not in counts2]
+    queue += [(v, 1) for v in leaves2 if v not in counts1]
+    while queue:
+        leaf, side = min(queue)
+        queue.remove((leaf, side))
+        route, own = routes[side], counts[side]
+        if len(route) <= 2:
+            continue  # a walk of at most two steps has no leaves left
+        del own[leaf]
+        neighbour = _drop_leaf(route, leaf)
+        own[neighbour] -= 1
+        if neighbour not in counts[1 - side] and _is_leaf(route, own, neighbour):
+            queue.append((neighbour, side))
+    return tuple(routes[0]), tuple(routes[1])
 
 
 class DoubleCircuitMultigraph:

@@ -260,6 +260,8 @@ def run_suite(name: str, max_l: int | None = None, *, allow_large: bool = False)
     """Run one named suite and return {suite, cases, failures}."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (choose from {sorted(SUITES)})")
+    if max_l is not None and max_l < 1:
+        raise ValueError(f"max_l must be positive, got {max_l}")
     runner, default_max = SUITES[name]
     cases, failures = runner(max_l if max_l is not None else default_max, allow_large)
     return {"suite": name, "cases": cases, "failures": failures}

@@ -1,6 +1,7 @@
 """Shared enumeration utilities for the tests: route spaces, Prufer trees, a
-route-pair reference for the signature census and a per-quadruple reference
-for the covariance oracle."""
+route-pair reference for the signature census, a per-quadruple reference
+for the covariance oracle, and rescanning trims with label-level seed-class
+censuses that visit every route pair."""
 
 from __future__ import annotations
 
@@ -12,7 +13,14 @@ from itertools import product
 from math import comb
 
 from tracemoments.enumeration import iter_route_pairs
-from tracemoments.graphs import build_double_graph, reversed_edge_counts, zip_routes
+from tracemoments.graphs import (
+    balanced_leaf_labels,
+    build_double_graph,
+    classify_leaf_free_double,
+    classify_leaf_free_route,
+    reversed_edge_counts,
+    zip_routes,
+)
 from tracemoments.weights import covariance_weight
 
 
@@ -140,3 +148,74 @@ def reference_trace_covariance(l1: int, l2: int, p: int, n: int, moments) -> Fra
                 inner = reference_covariance_inner_sum(l1, l2, r, b, moments)
                 value += comb(rows, b) * comb(cols - b, r - b) * inner
     return value / n**total
+
+
+# ---------------------------------------------------------------------------
+# trimming and seed-class censuses, one full rescan per removed leaf
+
+
+def _reference_drop(route: tuple[int, ...], leaf: int) -> tuple[int, ...]:
+    n = len(route)
+    t = route.index(leaf)
+    out = list(route)
+    if t == n - 1:
+        del out[n - 2 : n]
+    else:
+        del out[t : t + 2]
+    return tuple(out)
+
+
+def reference_trim_route(route) -> tuple[int, ...]:
+    """trim_route by rescanning the whole route after every removal."""
+    current = tuple(route)
+    while True:
+        leaves = balanced_leaf_labels(current)
+        if not leaves:
+            return current
+        current = _reference_drop(current, leaves[0])
+
+
+def reference_trim_double(first, second) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """trim_double by rescanning both routes after every removal."""
+    r1, r2 = tuple(first), tuple(second)
+    while True:
+        s1, s2 = set(r1), set(r2)
+        candidates = [(v, 1) for v in balanced_leaf_labels(r1) if v not in s2]
+        candidates += [(v, 2) for v in balanced_leaf_labels(r2) if v not in s1]
+        if not candidates:
+            return r1, r2
+        v, side = min(candidates)
+        if side == 1:
+            r1 = _reference_drop(r1, v)
+        else:
+            r2 = _reference_drop(r2, v)
+
+
+def double_bucket(i, k, j, m, b: int, trim=reference_trim_double):
+    """census_double's bucket of one route quadruple: (seed class, split)."""
+    blacks = frozenset(range(1, b + 1))
+    first, second = zip_routes(i, k), zip_routes(j, m)
+    seed1, seed2 = trim(first, second)
+    split = (
+        len((set(first) & blacks) - set(seed1)),
+        len((set(second) & blacks) - set(seed2)),
+        len((set(first) - blacks) - set(seed1)),
+        len((set(second) - blacks) - set(seed2)),
+    )
+    return classify_leaf_free_double(seed1, seed2), split
+
+
+def reference_census_by_seed(l: int, b: int) -> Counter:
+    """census_by_seed by trimming every labelled route pair."""
+    return Counter(
+        classify_leaf_free_route(reference_trim_route(zip_routes(i, k)))
+        for i, k in iter_route_pairs(l, l, b)
+    )
+
+
+def reference_census_double(l1: int, l2: int, b: int) -> Counter:
+    """census_double by trimming every labelled route quadruple."""
+    return Counter(
+        double_bucket(i, k, j, m, b)
+        for i, k, j, m in split_route_pairs(l1, l2, l1 + l2, b)
+    )

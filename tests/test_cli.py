@@ -89,6 +89,26 @@ def test_census_commands(capsys):
     ]
 
 
+def test_census_double_rejects_empty_walks(capsys):
+    for l1, l2 in [("0", "2"), ("2", "-1")]:
+        status, out, err = run_cli(
+            capsys, "census", "--l1", l1, "--l2", l2, "--b", "1", "--no-timestamp"
+        )
+        assert status == 1 and out == ""
+        assert "l1 and l2 must be positive" in err and "Traceback" not in err
+
+
+def test_verify_rejects_max_l_below_one(capsys):
+    for argv in [
+        ("verify", "--suite", "taylor", "--max-l", "0"),
+        ("verify", "--suite", "ring-census", "--max-l", "-3"),
+        ("bs-check", "--max-l", "0"),
+    ]:
+        status, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert status == 1 and out == "", argv
+        assert "max_l" in err and "Traceback" not in err
+
+
 def test_graph_record(capsys):
     status, out, _ = run_cli(
         capsys, "graph", "--route", "2,4,4,3,1,3", "--no-timestamp"

@@ -9,9 +9,13 @@ from math import comb, factorial
 import pytest
 
 from helpers import (
+    double_bucket,
+    reference_census_by_seed,
+    reference_census_double,
     reference_signature_census,
     reference_trace_covariance,
     split_route_pairs,
+    surjective_routes,
 )
 from tracemoments.closedform import (
     A_coeff,
@@ -24,6 +28,7 @@ from tracemoments.closedform import (
 from tracemoments.enumeration import (
     CostGuardError,
     _SIGNATURE_CACHE,
+    _rotation_orbits,
     _set_partitions,
     census_by_seed,
     census_double,
@@ -38,7 +43,10 @@ from tracemoments.enumeration import (
 )
 from tracemoments.graphs import (
     build_double_graph,
+    classify_leaf_free_route,
     double_two_d_ring,
+    trim_double,
+    trim_route,
     two_d_ring,
     zip_routes,
 )
@@ -319,6 +327,77 @@ def test_covariance_census_is_cached_per_lengths_r_b():
     assert not _SIGNATURE_CACHE
     # the partition strings go too, so the next census starts cold
     assert _set_partitions.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "l,bs", [(l, range(1, l + 1)) for l in range(1, 6)] + [(6, [1])],
+    ids=[f"l={l}" for l in range(1, 7)],
+)
+def test_census_by_seed_matches_route_pair_reference(l, bs):
+    # one representative per rotation orbit against every labelled route pair
+    for b in bs:
+        got = census_by_seed(l, b, allow_large=True)
+        assert got == reference_census_by_seed(l, b), (l, b)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [(l1, total - l1, b) for total in range(2, 5) for l1 in range(1, total)
+         for b in range(1, total + 1)],
+        [(2, 3, 2), (3, 2, 2)],
+    ],
+    ids=["sum<=4", "sum=5"],
+)
+def test_census_double_matches_route_pair_reference(cases):
+    for l1, l2, b in cases:
+        got = census_double(l1, l2, b, allow_large=True)
+        assert got == reference_census_double(l1, l2, b), (l1, l2, b)
+
+
+def _rotate(route):
+    return route[1:] + route[:1]
+
+
+def test_seed_classes_are_rotation_invariant():
+    # the orbit reduction of both censuses rests on these invariances
+    for l in range(1, 5):
+        for b in range(1, l + 1):
+            for i, k in iter_route_pairs(l, l, b):
+                seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
+                rotated = trim_route(zip_routes(_rotate(i), _rotate(k)))
+                assert classify_leaf_free_route(rotated) == seed_class, (i, k)
+    for total in range(2, 5):
+        for l1 in range(1, total):
+            for b in range(1, total + 1):
+                for i, k, j, m in split_route_pairs(l1, total - l1, total, b):
+                    bucket = double_bucket(i, k, j, m, b, trim_double)
+                    assert bucket == double_bucket(
+                        _rotate(i), _rotate(k), j, m, b, trim_double
+                    ), (i, k, j, m)
+                    assert bucket == double_bucket(
+                        i, k, _rotate(j), _rotate(m), b, trim_double
+                    ), (i, k, j, m)
+
+
+def test_rotation_orbits_partition_the_surjections():
+    clear_caches()
+    for lengths, b in [((4,), 2), ((2, 2), 2), ((1, 3), 3), ((3, 1), 1)]:
+        orbits = _rotation_orbits(lengths, b)
+        assert sum(size for _, size in orbits) == len(
+            list(surjective_routes(sum(lengths), b))
+        )
+    assert _rotation_orbits((4,), 2) == ((((1, 1, 1, 2), 4), ((1, 1, 2, 2), 4),
+                                         ((1, 2, 1, 2), 2), ((1, 2, 2, 2), 4)))
+    assert _rotation_orbits.cache_info().currsize == 4
+    clear_caches()
+    assert _rotation_orbits.cache_info().currsize == 0
+
+
+def test_census_double_rejects_empty_walks():
+    for l1, l2 in [(0, 2), (2, -1), (0, 0)]:
+        with pytest.raises(ValueError, match="l1 and l2 must be positive"):
+            census_double(l1, l2, 1)
 
 
 def test_census_by_seed_examples():

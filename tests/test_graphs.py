@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_canonical_routes, canonical_patterns, surjective_routes
+from helpers import (
+    all_canonical_routes,
+    canonical_patterns,
+    reference_trim_double,
+    reference_trim_route,
+    surjective_routes,
+)
 from tracemoments.graphs import (
     BALANCED_PAIR_SEED,
     DOUBLE_OTHER_SEED,
@@ -28,6 +34,7 @@ from tracemoments.graphs import (
     remove_leaf_from_route,
     reversed_edge_counts,
     route_edges,
+    trim_double,
     trim_route,
     two_d_ring,
     zip_routes,
@@ -196,6 +203,22 @@ def test_coloring_preserved_by_leaf_removal_random(route):
     for leaf in g.balanced_leaves():
         raw = remove_leaf_from_route(route, leaf)
         assert frozenset(raw[0::2]) == g.black_set - {leaf}
+
+
+# raw labels (gaps allowed), odd lengths, walks of at most two steps
+raw_routes_st = st.lists(st.integers(1, 5), min_size=1, max_size=13).map(tuple)
+
+
+@given(raw_routes_st)
+@settings(max_examples=300)
+def test_incremental_trim_matches_rescanning_reference(route):
+    assert trim_route(route) == reference_trim_route(route)
+
+
+@given(raw_routes_st, raw_routes_st)
+@settings(max_examples=300)
+def test_incremental_double_trim_matches_rescanning_reference(first, second):
+    assert trim_double(first, second) == reference_trim_double(first, second)
 
 
 def test_seed_idempotent_exhaustive():

@@ -43,6 +43,13 @@ def test_cov_coefficient_law_full_range():
     )
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_max_l_below_one_is_rejected(name):
+    for max_l in (0, -3):
+        with pytest.raises(ValueError, match="max_l"):
+            run_suite(name, max_l)
+
+
 def test_every_suite_has_a_default():
     for name in SUITES:
         runner, default_max = SUITES[name]
