@@ -2,7 +2,8 @@
 
 JSON goes to standard output; `--format csv` is available for the tabular
 simulate report.  Exact rationals are serialized as "num/den".  Exit status is
-0 on success, 1 on validation errors, 2 when a verification suite fails.
+0 on success, 1 on validation errors or when memory runs out, 2 when a
+verification suite fails.
 """
 
 from __future__ import annotations
@@ -344,6 +345,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,10 @@ import numpy as np
 
 from .weights import distribution_name, preset_moments
 
-RNG_ALGORITHM = "philox4x64 keyed by (seed, batch)"
+RNG_ALGORITHM = (
+    "philox4x64 keyed by (seed, batch); gaussian: Bartlett, rademacher: packed bits, "
+    "uniform: doubles"
+)
 BATCH_SIZE = 1024
 
 
@@ -113,14 +116,43 @@ class SimulationReport:
 def _draw_batch(
     distribution: str, seed: int, batch_index: int, count: int, p: int, n: int
 ) -> np.ndarray:
-    key = np.array([seed, batch_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    shape = (count, p, n)
+    """The Gram matrices X X^T of `count` draws of a p x n matrix X, p <= n.
+
+    Every draw is keyed by Philox (seed, batch_index) and made row-major as
+    (count, ...), so a shorter batch is a prefix of the full one.
+    - gaussian: X X^T ~ Wishart(n, I_p) is drawn as A A^T with the Bartlett
+      factor A: lower triangular, N(0, 1) below the diagonal and
+      sqrt(chi^2_{n-i}) at (i, i) for i = 0..p-1, the chi-squares drawn
+      from the jumped stream.
+    - rademacher: one bit per entry, unpacked from uniform bytes.
+    - uniform: sqrt(3) (2 U - 1) per entry.
+    """
+    bits = np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
+    gen = np.random.Generator(bits)
     if distribution == "gaussian":
-        return gen.standard_normal(shape)
+        # jump before drawing: jumped() starts from the current state
+        chi2_gen = np.random.Generator(bits.jumped())
+        factor = np.zeros((count, p, p))
+        below = gen.standard_normal((count, p * (p - 1) // 2))
+        start = 0
+        for i in range(1, p):  # row i holds i normals
+            factor[:, i, :i] = below[:, start : start + i]
+            start += i
+        chi2 = chi2_gen.chisquare(np.arange(n, n - p, -1), size=(count, p))
+        diagonal = np.arange(p)
+        factor[:, diagonal, diagonal] = np.sqrt(chi2)
+        return factor @ factor.transpose(0, 2, 1)
     if distribution == "rademacher":
-        return gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    return math.sqrt(3.0) * (2.0 * gen.random(shape) - 1.0)
+        packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
+        x = np.unpackbits(packed, axis=1, count=p * n).reshape(count, p, n).astype(np.float64)
+        x *= 2.0
+        x -= 1.0
+    else:
+        x = gen.random((count, p, n))
+        x *= 2.0
+        x -= 1.0
+        x *= math.sqrt(3.0)
+    return x @ x.transpose(0, 2, 1)
 
 
 def sample_traces(config: SimulationConfig) -> np.ndarray:
@@ -133,25 +165,28 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     transposed = p > n
     if transposed:
         p, n = n, p
-    powers = sorted(set(config.l_list))
-    max_l = max(powers)
+    max_l = max(config.l_list)
     out = np.empty((config.replications, len(config.l_list)), dtype=np.float64)
-    column = {l: idx for idx, l in enumerate(config.l_list)}
     done = 0
     batch = 0
     while done < config.replications:
         count = min(BATCH_SIZE, config.replications - done)
-        x = _draw_batch(config.distribution, config.rng_seed, batch, count, p, n)
-        gram = x @ x.transpose(0, 2, 1)  # p x p, the smaller side
-        power = gram
-        for l in range(1, max_l + 1):
-            if l > 1:
-                power = power @ gram
-            if l in column:
-                traces = np.einsum("rii->r", power) / float(n) ** l
-                if transposed:
-                    traces = traces * (config.p / config.n) ** l
-                out[done : done + count, column[l]] = traces
+        gram = _draw_batch(config.distribution, config.rng_seed, batch, count, p, n)
+        # G is symmetric, so tr(G^l) is the sum of the entries of
+        # G^ceil(l/2) * G^floor(l/2), elementwise: only the powers up to
+        # ceil(max_l/2) are multiplied out
+        halves = [gram]
+        while len(halves) < (max_l + 1) // 2:
+            halves.append(halves[-1] @ gram)
+        for idx, l in enumerate(config.l_list):
+            if l == 1:  # the diagonal sum, exact wherever the diagonal is
+                traces = np.einsum("rii->r", gram)
+            else:
+                traces = np.einsum("rij,rij->r", halves[(l + 1) // 2 - 1], halves[l // 2 - 1])
+            traces = traces / float(n) ** l
+            if transposed:
+                traces = traces * (config.p / config.n) ** l
+            out[done : done + count, idx] = traces
         done += count
         batch += 1
     return out

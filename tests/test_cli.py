@@ -198,6 +198,21 @@ def test_workers_option_is_gone(capsys):
     assert "--workers" in err and "Traceback" not in err
 
 
+def test_out_of_memory_exits_one(capsys, monkeypatch):
+    args = ("simulate", "--p", "2", "--n", "3", "--l", "1", "--reps", "200",
+            "--dist", "gaussian", "--seed", "1", "--no-reference", "--no-timestamp")
+    for exc, message in ((MemoryError("Unable to allocate 8.00 TiB"),
+                          "error: out of memory: Unable to allocate 8.00 TiB"),
+                         (MemoryError(), "error: out of memory")):
+        def fail(*_args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli.montecarlo, "simulate", fail)
+        status, out, err = run_cli(capsys, *args)
+        assert status == 1 and out == ""
+        assert err.strip() == message and "Traceback" not in err
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     def fake_run_suite(name, max_l=None, allow_large=False):
         return {"suite": name, "cases": 1, "failures": ["synthetic"]}

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from tracemoments.montecarlo import (
+    BATCH_SIZE,
     ExactReferences,
     SimulationConfig,
+    _draw_batch,
     _jackknife_cov_se,
     oracle_references,
     sample_traces,
@@ -41,19 +43,39 @@ def test_config_validation():
         _config(p=0)
 
 
+DISTS = ("gaussian", "rademacher", "uniform")
+# p * n = 15 is not a multiple of 8, so a replication's sign bits end
+# mid-byte; 5 x 3 is drawn transposed
+SHAPES = ((2, 4), (3, 5), (5, 3))
+
+
 def test_bitwise_reproducibility():
-    cfg = _config()
-    refs = oracle_references(cfg)
-    assert simulate(cfg, refs) == simulate(cfg, refs)
-    other = simulate(_config(rng_seed=8), refs)
-    assert other != simulate(cfg, refs)
+    for dist in DISTS:
+        for p, n in SHAPES:
+            cfg = _config(p=p, n=n, distribution=dist)
+            refs = oracle_references(cfg)
+            assert simulate(cfg, refs) == simulate(cfg, refs), (dist, p, n)
+            other = simulate(_config(p=p, n=n, distribution=dist, rng_seed=8), refs)
+            assert other != simulate(cfg, refs), (dist, p, n)
 
 
 def test_replication_prefix_property():
-    # batching must not couple a replication's draws to the total count
-    short = sample_traces(_config(replications=1000))
-    long = sample_traces(_config(replications=1500))
-    assert np.array_equal(long[:1000], short)
+    # batching must not couple a replication's draws to the total count;
+    # 1000 replications end inside the first batch, 1500 run into the second
+    for dist in DISTS:
+        for p, n in SHAPES:
+            short = sample_traces(_config(p=p, n=n, distribution=dist, replications=1000))
+            long = sample_traces(_config(p=p, n=n, distribution=dist, replications=1500))
+            assert np.array_equal(long[:1000], short), (dist, p, n)
+
+
+def test_uniform_draws_are_scaled_philox_doubles():
+    # the uniform stream is sqrt(3) (2 U - 1), U the doubles of Philox (seed, batch)
+    for p, n in ((3, 5), (4, 8)):
+        key = np.array([7, 2], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random((10, p, n))
+        x = np.sqrt(3.0) * (2.0 * u - 1.0)
+        assert np.array_equal(_draw_batch("uniform", 7, 2, 10, p, n), x @ x.transpose(0, 2, 1))
 
 
 def test_degenerate_rademacher():
@@ -61,6 +83,43 @@ def test_degenerate_rademacher():
     report = simulate(cfg, ExactReferences(means={2: Fraction(1)}))
     stat = report.means[0]
     assert stat.empirical == 1.0 and stat.se == 0.0 and stat.z == 0.0
+    # tr(S) = p exactly for sign entries, also when p * n ends mid-byte
+    cfg = _config(p=3, n=5, l_list=(1, 2), distribution="rademacher", replications=500)
+    report = simulate(cfg, ExactReferences(means={1: Fraction(3)}))
+    stat = report.means[0]
+    assert stat.empirical == 3.0 and stat.se == 0.0 and stat.z == 0.0
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (1, 4), (5, 3)], ids=["p=n", "p=1", "p>n"])
+def test_bartlett_gaussian_edge_cases(p, n):
+    # p = n ends the Bartlett diagonal with chi^2 on 1 degree of freedom;
+    # p = 1 has no normals below it; 5 x 3 draws the 3 x 3 Gram of 3 x 5
+    cfg = _config(p=p, n=n, l_list=(1, 2, 3), replications=20000, rng_seed=31)
+    report = simulate(cfg, oracle_references(cfg))
+    for stat in report.means:
+        assert stat.z is not None and abs(stat.z) <= 5, stat
+    checked = {(s.l1, s.l2) for s in report.covariances if s.z is not None}
+    assert checked == {(1, 1), (1, 2), (1, 3), (2, 2)}  # the oracle's reach
+    for stat in report.covariances:
+        assert stat.z is None or abs(stat.z) <= 6, stat
+
+
+@pytest.mark.parametrize("l_list", [(4,), (3, 1), (1, 2, 3, 4, 5, 6)])
+def test_paired_power_traces_match_explicit_powers(l_list):
+    reps = BATCH_SIZE + 476
+    for dist in DISTS:
+        for p, n in ((3, 5), (5, 3)):
+            rows, cols = sorted((p, n))
+            grams = np.concatenate([
+                _draw_batch(dist, 7, 0, BATCH_SIZE, rows, cols),
+                _draw_batch(dist, 7, 1, reps - BATCH_SIZE, rows, cols),
+            ])
+            cfg = _config(p=p, n=n, l_list=l_list, distribution=dist, replications=reps)
+            traces = sample_traces(cfg)
+            for idx, l in enumerate(l_list):
+                power = np.linalg.matrix_power(grams, l)
+                want = np.einsum("rii->r", power) / cols**l * (p / rows) ** l
+                np.testing.assert_allclose(traces[:, idx], want, rtol=1e-12, atol=0)
 
 
 def test_transposition_identity():
