@@ -49,28 +49,59 @@ def B_coeff(l: int, b: int) -> int:
     return factorial(b) * factorial(l - b) * binom(l, b - 1) * binom(l, b + 1)
 
 
+def _check_powers(l1: int, l2: int) -> None:
+    _check_range(min(l1, l2) >= 1, f"need l1, l2 >= 1, got l1={l1}, l2={l2}")
+
+
+def C_coeffs(l1: int, l2: int) -> tuple[int, ...]:
+    """Leading covariance coefficients at every black count b = 0..l1+l2; 0 at b = 0.
+
+    With a_k = C(l1, k) C(l2, b-k), the coefficient is 2 b! (l1+l2-b)! times
+    the sum of (j - k) a_k a_j over k < j; running sums of a_k and k a_k give
+    it in one pass over j.
+    """
+    _check_powers(l1, l2)
+    total_l = l1 + l2
+    row1 = [comb(l1, k) for k in range(l1 + 1)]
+    row2 = [comb(l2, k) for k in range(l2 + 1)]
+    coeffs = [0] * (total_l + 1)
+    for b in range(1, total_l + 1):
+        pair_sum = count = weighted = 0
+        for j in range(max(0, b - l2), min(b, l1) + 1):
+            a = row1[j] * row2[b - j]
+            pair_sum += a * (j * count - weighted)
+            count += a
+            weighted += j * a
+        coeffs[b] = 2 * factorial(b) * factorial(total_l - b) * pair_sum
+    return tuple(coeffs)
+
+
 def C_coeff(l1: int, l2: int, b: int) -> int:
     """Leading covariance coefficient at black count b."""
     _check_range(1 <= b <= l1 + l2, f"need 1 <= b <= l1+l2, got b={b}")
-    double_sum = 0
-    for k in range(0, b + 1):
-        outer = binom(l1, k) * binom(l2, b - k)
-        if outer == 0:
-            continue
-        double_sum += outer * sum(
-            m * binom(l1, k + m) * binom(l2, b - m - k) for m in range(0, b - k + 1)
+    return C_coeffs(l1, l2)[b]
+
+
+def D_coeffs(l1: int, l2: int) -> tuple[int, ...]:
+    """Fourth-moment corrections to the covariance coefficients, b = 0..l1+l2; 0 at b = 0."""
+    _check_powers(l1, l2)
+    total_l = l1 + l2
+    row1 = [comb(l1, k) for k in range(l1 + 1)]
+    row2 = [comb(l2, k) for k in range(l2 + 1)]
+    coeffs = [0] * (total_l + 1)
+    for b in range(1, total_l + 1):
+        inner = sum(
+            row1[k] * row1[k + 1] * row2[b - 1 - k] * row2[b - k]
+            for k in range(max(0, b - l2), min(b, l1))
         )
-    return 2 * factorial(b) * factorial(l1 + l2 - b) * double_sum
+        coeffs[b] = factorial(b) * factorial(total_l - b) * inner
+    return tuple(coeffs)
 
 
 def D_coeff(l1: int, l2: int, b: int) -> int:
     """Fourth-moment correction to the covariance coefficient at black count b."""
     _check_range(1 <= b <= l1 + l2, f"need 1 <= b <= l1+l2, got b={b}")
-    inner = sum(
-        binom(l1, k) * binom(l1, k + 1) * binom(l2, b - 1 - k) * binom(l2, b - k)
-        for k in range(0, b)
-    )
-    return factorial(b) * factorial(l1 + l2 - b) * inner
+    return D_coeffs(l1, l2)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +152,9 @@ def theorem2_cov(
     scale = Fraction(1, n**total_l)
     value = AffineAlpha()
     terms: list[CovExpansionTerm] = []
+    c_row, d_row = C_coeffs(l1, l2), D_coeffs(l1, l2)
     for b in range(1, min(total_l, p) + 1):
-        c = C_coeff(l1, l2, b)
-        d = D_coeff(l1, l2, b)
+        c, d = c_row[b], d_row[b]
         coeff = AffineAlpha(Fraction(c - 3 * d), Fraction(d))
         terms.append(CovExpansionTerm(b, coeff, f"O(p^{b}/n^{b + 1})"))
         mult = Fraction(binom(p, b) * binom(n - b, total_l - b)) * scale
@@ -187,10 +218,11 @@ def corollary_cov_ratio(l1: int, l2: int, p: int, n: int) -> CovRatioExpansion:
     total_l = l1 + l2
     coeffs = [AffineAlpha()] * (total_l + 1)
     value = AffineAlpha()
+    c_row, d_row = C_coeffs(l1, l2), D_coeffs(l1, l2)
     for b in range(1, total_l + 1):
         denom = factorial(b) * factorial(total_l - b)
-        c = Fraction(C_coeff(l1, l2, b), denom)
-        d = Fraction(D_coeff(l1, l2, b), denom)
+        c = Fraction(c_row[b], denom)
+        d = Fraction(d_row[b], denom)
         coeffs[b] = AffineAlpha(c - 3 * d, d)
         value = value + coeffs[b].scale(y**b)
     return CovRatioExpansion(tuple(coeffs), value)
@@ -344,6 +376,7 @@ def mp_moment(l: int, y: Rational) -> Fraction:
     """Moments of the Marchenko-Pastur law with ratio y and unit scale."""
     _check_range(l >= 1, f"need l >= 1, got {l}")
     y = Fraction(y)
+    _check_range(y >= 0, f"need y >= 0, got y={y}")
     return sum(
         (
             Fraction(binom(l, b - 1) * binom(l - 1, b - 1), b) * y ** (b - 1)
@@ -374,33 +407,44 @@ def bs_mean_coefficients(l: int) -> tuple[Fraction, ...]:
 def bs_mean(l: int, y: Rational) -> Fraction:
     """Classical limiting mean of the centred spectral statistic of x^l."""
     y = Fraction(y)
+    _check_range(y >= 0, f"need y >= 0, got y={y}")
     return sum(
         (c * y**j for j, c in enumerate(bs_mean_coefficients(l))), Fraction(0)
     )
 
 
+def bs_cov_coefficients(l1: int, l2: int) -> tuple[int, ...]:
+    """Coefficients of y^b, b = 0..l1+l2, in the classical limiting covariance of x^l1, x^l2.
+
+    The sum over m depends on (k1, k2) only, so it runs once per pair and is
+    grouped by s = k1 + k2 into by_sum[s]; each coefficient then reads
+    2 sum_s C(s, shift) (-1)^(s - shift) by_sum[s] with shift = l1 + l2 - b.
+    """
+    _check_powers(l1, l2)
+    total_l = l1 + l2
+    row1 = [comb(l1, k) for k in range(l1 + 1)]
+    row2 = [comb(l2, k) for k in range(l2 + 1)]
+    first = [comb(2 * l1 - 1 - j, l1 - 1) for j in range(l1 + 1)]  # j = k1 + m
+    second = [comb(l2 + i, l2 - 1) for i in range(total_l)]  # i = l2 - 1 - k2 + m
+    by_sum = [0] * total_l  # s = k1 + k2 <= l1 + l2 - 1
+    for k1 in range(0, l1):
+        for k2 in range(0, l2 + 1):
+            inner = sum(
+                m * first[k1 + m] * second[l2 - 1 - k2 + m]
+                for m in range(1, l1 - k1 + 1)
+            )
+            by_sum[k1 + k2] += row1[k1] * row2[k2] * inner
+    coeffs = [0] * (total_l + 1)
+    for b in range(1, total_l + 1):
+        shift = total_l - b
+        coeffs[b] = 2 * sum(
+            (-1) ** (s - shift) * comb(s, shift) * by_sum[s]
+            for s in range(shift, total_l)
+        )
+    return tuple(coeffs)
+
+
 def bs_cov_coefficient(l1: int, l2: int, b: int) -> Fraction:
     """Coefficient of y^b in the classical limiting covariance of (x^l1, x^l2)."""
     _check_range(1 <= b <= l1 + l2, f"need 1 <= b <= l1+l2, got b={b}")
-    shift = l1 + l2 - b
-    total = Fraction(0)
-    for k1 in range(0, l1):
-        for k2 in range(0, l2 + 1):
-            if k1 + k2 < shift:
-                continue
-            outer = (
-                binom(l1, k1)
-                * binom(l2, k2)
-                * binom(k1 + k2, shift)
-                * (-1) ** (k1 + k2 - shift)
-            )
-            if outer == 0:
-                continue
-            inner = sum(
-                m
-                * binom(2 * l1 - 1 - (k1 + m), l1 - 1)
-                * binom(2 * l2 - 1 - k2 + m, l2 - 1)
-                for m in range(1, l1 - k1 + 1)
-            )
-            total += 2 * outer * inner
-    return total
+    return Fraction(bs_cov_coefficients(l1, l2)[b])

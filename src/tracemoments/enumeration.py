@@ -55,7 +55,11 @@ def _check_guard(value: int, limit: int, allow_large: bool, what: str) -> None:
         return
     if allow_large and value <= limit + 1:
         return
-    hint = "" if allow_large else "; pass allow_large=True to go one step further"
+    hint = (
+        ""
+        if allow_large
+        else "; pass --allow-large (allow_large=True in Python) to go one step further"
+    )
     raise CostGuardError(f"{what}={value} exceeds the cost guard {limit}{hint}")
 
 

@@ -46,17 +46,15 @@ def _suite_bs_mean(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
 
 
 def _suite_bs_cov(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
+    # the classical-limit row and Theorem 2's row are computed independently
     cases, failures = 0, []
     for l1 in range(1, max_l + 1):
         for l2 in range(1, max_l + 1):
+            bs_row = closedform.bs_cov_coefficients(l1, l2)
+            c_row = closedform.C_coeffs(l1, l2)
             for b in range(1, l1 + l2 + 1):
                 cases += 1
-                lhs = closedform.bs_cov_coefficient(l1, l2, b)
-                rhs = Fraction(
-                    closedform.C_coeff(l1, l2, b),
-                    factorial(b) * factorial(l1 + l2 - b),
-                )
-                if lhs != rhs:
+                if bs_row[b] * factorial(b) * factorial(l1 + l2 - b) != c_row[b]:
                     failures.append(
                         f"covariance coefficient mismatch at l1={l1}, l2={l2}, b={b}"
                     )
@@ -227,11 +225,11 @@ def _suite_cov_coeffs(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
     cases, failures = 0, []
     for l1 in range(1, max_l):
         for l2 in range(1, max_l - l1 + 1):
+            c_row, d_row = closedform.C_coeffs(l1, l2), closedform.D_coeffs(l1, l2)
             for b in range(1, l1 + l2 + 1):
                 cases += 1
                 got = enumeration.covariance_inner_sum_affine(l1, l2, b)
-                c = closedform.C_coeff(l1, l2, b)
-                d = closedform.D_coeff(l1, l2, b)
+                c, d = c_row[b], d_row[b]
                 if got != AffineAlpha(Fraction(c - 3 * d), Fraction(d)):
                     failures.append(
                         f"covariance coefficient law fails at l1={l1}, l2={l2}, b={b}"

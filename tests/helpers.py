@@ -1,7 +1,8 @@
 """Shared enumeration utilities for the tests: route spaces, Prufer trees, a
 route-pair reference for the signature census, a per-quadruple reference
-for the covariance oracle, and rescanning trims with label-level seed-class
-censuses that visit every route pair."""
+for the covariance oracle, rescanning trims with label-level seed-class
+censuses that visit every route pair, and per-b references for the
+closed-form covariance coefficients."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, factorial
 
+from tracemoments.closedform import binom
 from tracemoments.enumeration import iter_route_pairs
 from tracemoments.graphs import (
     balanced_leaf_labels,
@@ -219,3 +221,55 @@ def reference_census_double(l1: int, l2: int, b: int) -> Counter:
         double_bucket(i, k, j, m, b)
         for i, k, j, m in split_route_pairs(l1, l2, l1 + l2, b)
     )
+
+
+# ---------------------------------------------------------------------------
+# per-b covariance coefficients, one full sum per black count b
+
+
+def reference_C_coeff(l1: int, l2: int, b: int) -> int:
+    """Theorem 2's leading covariance coefficient at black count b."""
+    double_sum = 0
+    for k in range(0, b + 1):
+        outer = binom(l1, k) * binom(l2, b - k)
+        if outer == 0:
+            continue
+        double_sum += outer * sum(
+            m * binom(l1, k + m) * binom(l2, b - m - k) for m in range(0, b - k + 1)
+        )
+    return 2 * factorial(b) * factorial(l1 + l2 - b) * double_sum
+
+
+def reference_D_coeff(l1: int, l2: int, b: int) -> int:
+    """Fourth-moment correction to the covariance coefficient at black count b."""
+    inner = sum(
+        binom(l1, k) * binom(l1, k + 1) * binom(l2, b - 1 - k) * binom(l2, b - k)
+        for k in range(0, b)
+    )
+    return factorial(b) * factorial(l1 + l2 - b) * inner
+
+
+def reference_bs_cov_coefficient(l1: int, l2: int, b: int) -> Fraction:
+    """Coefficient of y^b in the classical limiting covariance of (x^l1, x^l2)."""
+    shift = l1 + l2 - b
+    total = Fraction(0)
+    for k1 in range(0, l1):
+        for k2 in range(0, l2 + 1):
+            if k1 + k2 < shift:
+                continue
+            outer = (
+                binom(l1, k1)
+                * binom(l2, k2)
+                * binom(k1 + k2, shift)
+                * (-1) ** (k1 + k2 - shift)
+            )
+            if outer == 0:
+                continue
+            inner = sum(
+                m
+                * binom(2 * l1 - 1 - (k1 + m), l1 - 1)
+                * binom(2 * l2 - 1 - k2 + m, l2 - 1)
+                for m in range(1, l1 - k1 + 1)
+            )
+            total += 2 * outer * inner
+    return total

@@ -200,8 +200,8 @@ def test_criterion_10_classical_limit_identities():
     report = run_suite("bs-cov", 20)
     assert report["failures"] == [], report
     elapsed = time.perf_counter() - start
-    assert elapsed < 30.0, f"took {elapsed:.1f}s"
-    _passed("10 classical-limit mean and covariance identities (l <= 20, < 30 s)")
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
+    _passed("10 classical-limit mean and covariance identities (l <= 20, < 5 s)")
 
 
 def _compositions(total: int, parts: int):

@@ -43,6 +43,23 @@ def test_mp_example(capsys):
     assert json.loads(out)["value"] == "3/2"
 
 
+def test_mp_rejects_negative_ratio(capsys):
+    status, out, err = run_cli(capsys, "mp", "--l", "2", "--y", "-1", "--no-timestamp")
+    assert status == 1 and out == ""
+    assert "y >= 0" in err and "Traceback" not in err
+    status, out, _ = run_cli(capsys, "mp", "--l", "2", "--y", "0", "--no-timestamp")
+    assert status == 0
+    assert json.loads(out)["value"] == "1/1"
+
+
+def test_bs_check_readme_example(capsys):
+    status, out, _ = run_cli(capsys, "bs-check", "--max-l", "20", "--no-timestamp")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["mean"] == {"cases": 230, "failures": []}
+    assert payload["cov"] == {"cases": 8400, "failures": []}
+
+
 def test_mean_closed_with_alpha(capsys):
     status, out, _ = run_cli(
         capsys, "mean-closed", "--l", "2", "--p", "2", "--n", "3",
@@ -187,6 +204,15 @@ def test_usage_errors_exit_one(capsys):
         capsys, "mean-oracle", "--l", "5", "--p", "2", "--n", "5", "--dist", "gaussian"
     )
     assert status == 1 and "cost guard" in err
+
+
+def test_cost_guard_hint_names_the_flag(capsys):
+    status, out, err = run_cli(
+        capsys, "simulate", "--p", "2", "--n", "3", "--l", "9", "--reps", "200",
+        "--dist", "gaussian", "--seed", "1", "--no-timestamp",
+    )
+    assert status == 1 and out == ""
+    assert "cost guard" in err and "--allow-large" in err
 
 
 def test_workers_option_is_gone(capsys):

@@ -6,16 +6,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from helpers import reference_bs_cov_coefficient, reference_C_coeff, reference_D_coeff
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracemoments.closedform import (
     A_coeff,
     B_coeff,
     C_coeff,
+    C_coeffs,
     D_coeff,
+    D_coeffs,
     binom,
     bs_cov_coefficient,
+    bs_cov_coefficients,
     bs_mean,
     bs_mean_coefficients,
     corollary_cov_const_p,
@@ -294,6 +298,15 @@ def test_mp_moment():
     assert mp_moment(2, y) == 1 + y
     assert mp_moment(3, y) == 1 + 3 * y + y**2
     assert mp_moment(2, Fraction(1, 2)) == Fraction(3, 2)
+    assert mp_moment(3, 0) == 1
+
+
+def test_negative_ratio_is_rejected():
+    for y in (-1, Fraction(-1, 2), -2):
+        with pytest.raises(ValueError, match="y >= 0"):
+            mp_moment(3, y)
+        with pytest.raises(ValueError, match="y >= 0"):
+            bs_mean(2, y)
 
 
 def test_bs_mean():
@@ -310,3 +323,40 @@ def test_bs_cov_coefficient_examples():
     assert bs_cov_coefficient(1, 1, 2) == 0
     expected = Fraction(C_coeff(3, 2, 4), math.factorial(4) * math.factorial(1))
     assert bs_cov_coefficient(3, 2, 4) == expected
+
+
+def test_covariance_rows_match_per_b_references():
+    for l1 in range(1, 13):
+        for l2 in range(1, 13):
+            bs_row = bs_cov_coefficients(l1, l2)
+            c_row, d_row = C_coeffs(l1, l2), D_coeffs(l1, l2)
+            assert len(bs_row) == len(c_row) == len(d_row) == l1 + l2 + 1
+            assert bs_row[0] == c_row[0] == d_row[0] == 0
+            for b in range(1, l1 + l2 + 1):
+                assert bs_row[b] == reference_bs_cov_coefficient(l1, l2, b)
+                assert c_row[b] == reference_C_coeff(l1, l2, b)
+                assert d_row[b] == reference_D_coeff(l1, l2, b)
+
+
+def test_covariance_wrappers_index_their_rows():
+    assert bs_cov_coefficient(3, 2, 4) == Fraction(bs_cov_coefficients(3, 2)[4])
+    assert type(bs_cov_coefficient(3, 2, 4)) is Fraction
+    assert type(C_coeff(3, 2, 4)) is int and type(D_coeff(3, 2, 4)) is int
+    for coefficient in (bs_cov_coefficient, C_coeff, D_coeff):
+        for b in (0, 6):
+            with pytest.raises(ValueError, match="need 1 <= b <= l1\\+l2"):
+                coefficient(3, 2, b)
+    for row in (bs_cov_coefficients, C_coeffs, D_coeffs):
+        with pytest.raises(ValueError, match="l1, l2 >= 1"):
+            row(0, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40))
+def test_bs_cov_rows_symmetric_and_equal_to_theorem2(l1, l2):
+    # the classical-limit sum is not symmetric in (l1, l2) as written
+    bs_row = bs_cov_coefficients(l1, l2)
+    assert bs_row == bs_cov_coefficients(l2, l1)
+    c_row = C_coeffs(l1, l2)
+    for b in range(1, l1 + l2 + 1):
+        assert bs_row[b] * math.factorial(b) * math.factorial(l1 + l2 - b) == c_row[b]

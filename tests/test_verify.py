@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from tracemoments import closedform
 from tracemoments.verify import SUITES, run_suite
 
 
@@ -41,6 +42,21 @@ def test_cov_coefficient_law_full_range():
     assert report["cases"] == sum(
         l1 + l2 for l1 in range(1, 4) for l2 in range(1, 5 - l1)
     )
+
+
+def test_bs_cov_reports_a_corrupted_theorem2_entry(monkeypatch):
+    true_rows = closedform.C_coeffs
+
+    def corrupted(l1, l2):
+        row = list(true_rows(l1, l2))
+        if (l1, l2) == (2, 3):
+            row[2] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(closedform, "C_coeffs", corrupted)
+    report = run_suite("bs-cov", 3)
+    assert report["cases"] == sum(l1 + l2 for l1 in range(1, 4) for l2 in range(1, 4))
+    assert report["failures"] == ["covariance coefficient mismatch at l1=2, l2=3, b=2"]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
