@@ -3,6 +3,13 @@
 Sampling is keyed by (seed, batch index) through the counter-based Philox
 generator, with a fixed batch size, so a run is bit-reproducible no matter how
 batches are scheduled; partial final batches only truncate the stream.
+
+Each replication is a symmetric p x p matrix, p <= n after transposition, with
+the eigenvalues of X X^T: the Gram itself for rademacher (exact in float32)
+and uniform entries, and for gaussian entries the tridiagonal beta = 1
+Laguerre model of Dumitriu and Edelman (2002), 2p - 1 chi-squares per
+replication.  The matrix is divided by n before its powers are taken, so
+tr(S^l) needs no further scaling and overflows only where its value does.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ import numpy as np
 from .weights import distribution_name, preset_moments
 
 RNG_ALGORITHM = (
-    "philox4x64 keyed by (seed, batch); gaussian: Bartlett, rademacher: packed bits, "
-    "uniform: doubles"
+    "philox4x64 keyed by (seed, batch); gaussian: tridiagonal (Dumitriu-Edelman), "
+    "rademacher: packed bits, uniform: doubles"
 )
 BATCH_SIZE = 1024
 
@@ -116,55 +123,59 @@ class SimulationReport:
 def _draw_batch(
     distribution: str, seed: int, batch_index: int, count: int, p: int, n: int
 ) -> np.ndarray:
-    """The Gram matrices X X^T of `count` draws of a p x n matrix X, p <= n.
+    """A stack of `count` symmetric p x p matrices, p <= n, whose eigenvalues
+    have the joint law of those of X X^T for a p x n matrix X.
 
     Every draw is keyed by Philox (seed, batch_index) and made row-major as
     (count, ...), so a shorter batch is a prefix of the full one.
-    - gaussian: X X^T ~ Wishart(n, I_p) is drawn as A A^T with the Bartlett
-      factor A: lower triangular, N(0, 1) below the diagonal and
-      sqrt(chi^2_{n-i}) at (i, i) for i = 0..p-1, the chi-squares drawn
-      from the jumped stream.
-    - rademacher: one bit per entry, unpacked from uniform bytes.
-    - uniform: sqrt(3) (2 U - 1) per entry.
+    - gaussian: the tridiagonal B B^T of the beta = 1 Laguerre model
+      (Dumitriu and Edelman 2002), B lower bidiagonal with
+      d_i = sqrt(chi^2_{n-i}) on the diagonal, i = 0..p-1, and
+      e_i = sqrt(chi^2_{p-1-i}) below it, i = 0..p-2: 2p - 1 chi-squares per
+      draw.  B B^T has d_i^2 + e_{i-1}^2 on the diagonal and d_i e_i beside
+      it; it is not the Gram X X^T, but every tr(S^l) depends only on the
+      eigenvalues.
+    - rademacher: the Gram X X^T of one bit per entry, unpacked from uniform
+      bytes.  Its entries and sums are integers of size at most n, exact in
+      float32 while n < 2^24, so the product runs in float32 there.
+    - uniform: the Gram X X^T of sqrt(3) (2 U - 1) per entry.
     """
-    bits = np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
-    gen = np.random.Generator(bits)
+    key = np.array([seed, batch_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
     if distribution == "gaussian":
-        # jump before drawing: jumped() starts from the current state
-        chi2_gen = np.random.Generator(bits.jumped())
-        factor = np.zeros((count, p, p))
-        below = gen.standard_normal((count, p * (p - 1) // 2))
-        start = 0
-        for i in range(1, p):  # row i holds i normals
-            factor[:, i, :i] = below[:, start : start + i]
-            start += i
-        chi2 = chi2_gen.chisquare(np.arange(n, n - p, -1), size=(count, p))
-        diagonal = np.arange(p)
-        factor[:, diagonal, diagonal] = np.sqrt(chi2)
-        return factor @ factor.transpose(0, 2, 1)
+        dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
+        chi2 = gen.chisquare(dfs, size=(count, 2 * p - 1))
+        d2, e2 = chi2[:, :p], chi2[:, p:]
+        tri = np.zeros((count, p, p))
+        i = np.arange(p)
+        tri[:, i, i] = d2
+        tri[:, i[1:], i[1:]] += e2
+        beside = np.sqrt(d2[:, :-1] * e2)
+        tri[:, i[:-1], i[1:]] = beside
+        tri[:, i[1:], i[:-1]] = beside
+        return tri
     if distribution == "rademacher":
         packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
-        x = np.unpackbits(packed, axis=1, count=p * n).reshape(count, p, n).astype(np.float64)
+        dtype = np.float32 if n < 2**24 else np.float64
+        x = np.unpackbits(packed, axis=1, count=p * n).reshape(count, p, n).astype(dtype)
         x *= 2.0
         x -= 1.0
-    else:
-        x = gen.random((count, p, n))
-        x *= 2.0
-        x -= 1.0
-        x *= math.sqrt(3.0)
+        return (x @ x.transpose(0, 2, 1)).astype(np.float64)
+    x = gen.random((count, p, n))
+    x *= 2.0
+    x -= 1.0
+    x *= math.sqrt(3.0)
     return x @ x.transpose(0, 2, 1)
 
 
 def sample_traces(config: SimulationConfig) -> np.ndarray:
     """Per-replication values of tr(S^l), shape (replications, len(l_list)).
 
-    For p > n the draw is transposed and the traces rescaled by (p/n)^l, which
-    leaves the distribution unchanged.
+    For p > n the draw is transposed: tr((X^T X / n)^l) = tr((X X^T / n)^l),
+    so the traces need no rescaling.  Raises ValueError when a trace is not
+    finite in double precision.
     """
-    p, n = config.p, config.n
-    transposed = p > n
-    if transposed:
-        p, n = n, p
+    p, n = sorted((config.p, config.n))
     max_l = max(config.l_list)
     out = np.empty((config.replications, len(config.l_list)), dtype=np.float64)
     done = 0
@@ -172,21 +183,24 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     while done < config.replications:
         count = min(BATCH_SIZE, config.replications - done)
         gram = _draw_batch(config.distribution, config.rng_seed, batch, count, p, n)
+        gram /= config.n
         # G is symmetric, so tr(G^l) is the sum of the entries of
         # G^ceil(l/2) * G^floor(l/2), elementwise: only the powers up to
         # ceil(max_l/2) are multiplied out
-        halves = [gram]
-        while len(halves) < (max_l + 1) // 2:
-            halves.append(halves[-1] @ gram)
-        for idx, l in enumerate(config.l_list):
-            if l == 1:  # the diagonal sum, exact wherever the diagonal is
-                traces = np.einsum("rii->r", gram)
-            else:
-                traces = np.einsum("rij,rij->r", halves[(l + 1) // 2 - 1], halves[l // 2 - 1])
-            traces = traces / float(n) ** l
-            if transposed:
-                traces = traces * (config.p / config.n) ** l
-            out[done : done + count, idx] = traces
+        with np.errstate(over="ignore", invalid="ignore"):
+            halves = [gram]
+            while len(halves) < (max_l + 1) // 2:
+                halves.append(halves[-1] @ gram)
+            for idx, l in enumerate(config.l_list):
+                if l == 1:  # the diagonal sum, exact wherever the diagonal is
+                    traces = np.einsum("rii->r", gram)
+                else:
+                    traces = np.einsum(
+                        "rij,rij->r", halves[(l + 1) // 2 - 1], halves[l // 2 - 1]
+                    )
+                if not np.isfinite(traces).all():
+                    raise ValueError(f"tr(S^{l}) is not finite in double precision")
+                out[done : done + count, idx] = traces
         done += count
         batch += 1
     return out

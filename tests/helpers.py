@@ -1,8 +1,8 @@
 """Shared enumeration utilities for the tests: route spaces, Prufer trees, a
 route-pair reference for the signature census, a per-quadruple reference
 for the covariance oracle, rescanning trims with label-level seed-class
-censuses that visit every route pair, and per-b references for the
-closed-form covariance coefficients."""
+censuses that visit every route pair, per-b references for the
+closed-form covariance coefficients, and the Bartlett Wishart sampler."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
+
+import numpy as np
 
 from tracemoments.closedform import binom
 from tracemoments.enumeration import iter_route_pairs
@@ -273,3 +275,27 @@ def reference_bs_cov_coefficient(l1: int, l2: int, b: int) -> Fraction:
             )
             total += 2 * outer * inner
     return total
+
+
+def reference_bartlett_gram(seed: int, batch_index: int, count: int, p: int, n: int):
+    """`count` Wishart(n, I_p) matrices, p <= n, by the Bartlett decomposition.
+
+    X X^T of a p x n standard normal X has the law of A A^T, A lower
+    triangular with N(0, 1) below the diagonal and sqrt(chi^2_{n-i}) at
+    (i, i) (Bartlett 1933).  The normals come from Philox (seed,
+    batch_index), the chi-squares from its jumped stream.
+    """
+    bits = np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    # jump before drawing: jumped() starts from the current state
+    chi2_gen = np.random.Generator(bits.jumped())
+    factor = np.zeros((count, p, p))
+    below = gen.standard_normal((count, p * (p - 1) // 2))
+    start = 0
+    for i in range(1, p):  # row i holds i normals
+        factor[:, i, :i] = below[:, start : start + i]
+        start += i
+    chi2 = chi2_gen.chisquare(np.arange(n, n - p, -1), size=(count, p))
+    diagonal = np.arange(p)
+    factor[:, diagonal, diagonal] = np.sqrt(chi2)
+    return factor @ factor.transpose(0, 2, 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -204,6 +205,24 @@ def test_usage_errors_exit_one(capsys):
         capsys, "mean-oracle", "--l", "5", "--p", "2", "--n", "5", "--dist", "gaussian"
     )
     assert status == 1 and "cost guard" in err
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_simulate_large_powers_stay_finite_or_exit_one(capsys):
+    args = ("simulate", "--reps", "100", "--dist", "gaussian", "--seed", "1",
+            "--no-reference", "--no-timestamp")
+    status, out, err = run_cli(capsys, *args, "--p", "2", "--n", "100", "--l", "160")
+    assert status == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    for stat in payload["means"] + payload["covariances"]:
+        assert math.isfinite(stat["empirical"]) and math.isfinite(stat["se"]), stat
+    status, out, err = run_cli(capsys, *args, "--p", "2", "--n", "3", "--l", "400")
+    assert status == 1
+    assert "Infinity" not in out and "NaN" not in out
+    assert "tr(S^400)" in err and "Traceback" not in err
 
 
 def test_cost_guard_hint_names_the_flag(capsys):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import reference_bartlett_gram
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracemoments.montecarlo import (
     BATCH_SIZE,
@@ -78,6 +82,60 @@ def test_uniform_draws_are_scaled_philox_doubles():
         assert np.array_equal(_draw_batch("uniform", 7, 2, 10, p, n), x @ x.transpose(0, 2, 1))
 
 
+def test_rademacher_gram_is_the_float64_gram_of_the_same_bits():
+    # the float32 product is exact: +-1 Gram entries are integers up to n
+    for p, n in ((3, 5), (50, 100)):
+        key = np.array([7, 2], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        packed = gen.integers(0, 256, size=(20, -(-p * n // 8)), dtype=np.uint8)
+        x = np.unpackbits(packed, axis=1, count=p * n).reshape(20, p, n) * 2.0 - 1.0
+        gram = _draw_batch("rademacher", 7, 2, 20, p, n)
+        assert gram.dtype == np.float64
+        assert np.array_equal(gram, x @ x.transpose(0, 2, 1)), (p, n)
+
+
+@pytest.mark.parametrize("p, n", [(1, 4), (3, 3), (4, 8), (50, 100)])
+def test_gaussian_draw_is_symmetric_tridiagonal(p, n):
+    tri = _draw_batch("gaussian", 7, 0, 200, p, n)
+    assert tri.shape == (200, p, p)
+    assert np.array_equal(tri, tri.transpose(0, 2, 1))
+    rows, cols = np.indices((p, p))
+    assert not tri[:, abs(rows - cols) > 1].any()
+    assert (np.diagonal(tri, axis1=1, axis2=2) > 0).all()
+
+
+def _moment_stats(traces: np.ndarray):
+    """Means and covariances of the trace columns, each with its standard error."""
+    r = len(traces)
+    means = [(c.mean(), c.std(ddof=1) / math.sqrt(r)) for c in traces.T]
+    covs = {}
+    for a in range(traces.shape[1]):
+        for b in range(a, traces.shape[1]):
+            x, y = traces[:, a], traces[:, b]
+            cov = ((x - x.mean()) * (y - y.mean())).sum() / (r - 1)
+            covs[(a, b)] = (cov, _jackknife_cov_se(x, y))
+    return means, covs
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (1, 4), (4, 8), (5, 3)])
+def test_tridiagonal_traces_match_bartlett(p, n):
+    # two independent samples of the same law: the tridiagonal model against
+    # the Bartlett Wishart Gram, for every power up to 6
+    reps = 20000
+    powers = tuple(range(1, 7))
+    tri = sample_traces(_config(p=p, n=n, l_list=powers, replications=reps, rng_seed=41))
+    gram = reference_bartlett_gram(43, 0, reps, *sorted((p, n))) / n
+    bartlett = np.stack(
+        [np.einsum("rii->r", np.linalg.matrix_power(gram, l)) for l in powers], axis=1
+    )
+    (tri_means, tri_covs), (ref_means, ref_covs) = map(_moment_stats, (tri, bartlett))
+    for l, (m, se), (ref_m, ref_se) in zip(powers, tri_means, ref_means):
+        assert abs(m - ref_m) <= 5 * math.hypot(se, ref_se), (l, m, ref_m)
+    for key, (c, se) in tri_covs.items():
+        ref_c, ref_se = ref_covs[key]
+        assert abs(c - ref_c) <= 6 * math.hypot(se, ref_se), (key, c, ref_c)
+
+
 def test_degenerate_rademacher():
     cfg = _config(p=1, n=1, l_list=(2,), distribution="rademacher", replications=500)
     report = simulate(cfg, ExactReferences(means={2: Fraction(1)}))
@@ -120,6 +178,19 @@ def test_paired_power_traces_match_explicit_powers(l_list):
                 power = np.linalg.matrix_power(grams, l)
                 want = np.einsum("rii->r", power) / cols**l * (p / rows) ** l
                 np.testing.assert_allclose(traces[:, idx], want, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 6), n=st.integers(1, 6), max_l=st.integers(1, 5))
+def test_transposition_identity_is_exact(p, n, max_l):
+    # p x n and n x p draw the same small matrix: tr(S_{p,n}^l) = (p/n)^l tr(S_{n,p}^l)
+    powers = tuple(range(1, max_l + 1))
+    scale = (p / n) ** np.array(powers)
+    for dist in DISTS:
+        common = dict(l_list=powers, distribution=dist, replications=100)
+        wide = sample_traces(_config(p=p, n=n, **common))
+        tall = sample_traces(_config(p=n, n=p, **common))
+        np.testing.assert_allclose(wide, scale * tall, rtol=1e-12, atol=0, err_msg=dist)
 
 
 def test_transposition_identity():
