@@ -254,89 +254,86 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tracemoments", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_ALLOW_LARGE = ("--allow-large", _FLAG)
+_P_N = (("--p", _INT), ("--n", _INT))
+# name: (handler, help, arguments after --no-timestamp as (flag, keywords))
+_COMMANDS = {
+    "mean-closed": (_cmd_mean_closed, "mean expansion by the closed form", (
+        ("--l", _INT), *_P_N,
+        ("--alpha", {"help": "fourth moment as a rational, e.g. 3 or 9/5"}),
+        ("--dist", {"help": "distribution tag providing the fourth moment"}),
+    )),
+    "mean-oracle": (_cmd_mean_oracle, "exact mean by enumeration", (
+        ("--l", _INT), *_P_N,
+        ("--dist", {"help": "preset moment sequence"}),
+        ("--moments", {"help": "explicit comma-separated rational moments"}),
+        _ALLOW_LARGE,
+    )),
+    "cov-closed": (_cmd_cov_closed, "covariance expansion by the closed form", (
+        ("--l1", _INT), ("--l2", _INT), *_P_N, ("--alpha", {}), ("--dist", {}),
+    )),
+    "cov-oracle": (_cmd_cov_oracle, "exact covariance by enumeration", (
+        ("--l1", _INT), ("--l2", _INT), *_P_N, ("--dist", {}), ("--moments", {}),
+        _ALLOW_LARGE,
+    )),
+    "census": (_cmd_census, "seed-class censuses by enumeration", (
+        ("--l", {"type": int}), ("--l1", {"type": int}), ("--l2", {"type": int}),
+        ("--b", _INT), _ALLOW_LARGE,
+    )),
+    "simulate": (_cmd_simulate, "Monte Carlo check against exact values", (
+        *_P_N,
+        ("--l", {"required": True, "help": "comma-separated trace powers"}),
+        ("--reps", _INT), ("--dist", {"required": True}), ("--seed", _INT),
+        ("--no-reference", {**_FLAG, "help": "skip the exact reference computation"}),
+        _ALLOW_LARGE,
+        ("--format", {"choices": ("json", "csv"), "default": "json"}),
+    )),
+    "verify": (_cmd_verify, "run a named verification suite", (
+        ("--suite", {"required": True, "choices": sorted(verify.SUITES)}),
+        ("--max-l", {"type": int, "default": None}),
+        _ALLOW_LARGE,
+    )),
+    "mp": (_cmd_mp, "Marchenko-Pastur moment", (
+        ("--l", _INT), ("--y", {"required": True, "help": "ratio as a rational, e.g. 1/2"}),
+    )),
+    "bs-check": (_cmd_bs_check, "comparison identities for the classical limits", (
+        ("--max-l", {"type": int, "default": 20}),
+    )),
+    "graph": (_cmd_graph, "inspect the graph of a route", (
+        ("--route", {"required": True, "help": "comma-separated labels, e.g. 2,4,4,3,1,3"}),
+        ("--second", {"help": "second route, making it a double graph"}),
+    )),
+}
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with `command` alone.
+
+    A parser with one subcommand parses that command's argv exactly as the
+    full parser does; its usage line still lists every command.
+    """
+    parser = _Parser(prog="tracemoments", description=__doc__)
+    # the full parser lists its own choices; a metavar there would also
+    # rename the action in its "invalid choice" and "required" errors
+    listing = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field for byte-identical reruns")
-        return p
-
-    p = add("mean-closed", _cmd_mean_closed, help="mean expansion by the closed form")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", help="fourth moment as a rational, e.g. 3 or 9/5")
-    p.add_argument("--dist", help="distribution tag providing the fourth moment")
-
-    p = add("mean-oracle", _cmd_mean_oracle, help="exact mean by enumeration")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dist", help="preset moment sequence")
-    p.add_argument("--moments", help="explicit comma-separated rational moments")
-    p.add_argument("--allow-large", action="store_true")
-
-    p = add("cov-closed", _cmd_cov_closed, help="covariance expansion by the closed form")
-    p.add_argument("--l1", type=int, required=True)
-    p.add_argument("--l2", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha")
-    p.add_argument("--dist")
-
-    p = add("cov-oracle", _cmd_cov_oracle, help="exact covariance by enumeration")
-    p.add_argument("--l1", type=int, required=True)
-    p.add_argument("--l2", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dist")
-    p.add_argument("--moments")
-    p.add_argument("--allow-large", action="store_true")
-
-    p = add("census", _cmd_census, help="seed-class censuses by enumeration")
-    p.add_argument("--l", type=int)
-    p.add_argument("--l1", type=int)
-    p.add_argument("--l2", type=int)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
-
-    p = add("simulate", _cmd_simulate, help="Monte Carlo check against exact values")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", required=True, help="comma-separated trace powers")
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--no-reference", action="store_true",
-                   help="skip the exact reference computation")
-    p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = add("verify", _cmd_verify, help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    p.add_argument("--max-l", type=int, default=None)
-    p.add_argument("--allow-large", action="store_true")
-
-    p = add("mp", _cmd_mp, help="Marchenko-Pastur moment")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--y", required=True, help="ratio as a rational, e.g. 1/2")
-
-    p = add("bs-check", _cmd_bs_check, help="comparison identities for the classical limits")
-    p.add_argument("--max-l", type=int, default=20)
-
-    p = add("graph", _cmd_graph, help="inspect the graph of a route")
-    p.add_argument("--route", required=True, help="comma-separated labels, e.g. 2,4,4,3,1,3")
-    p.add_argument("--second", help="second route, making it a double graph")
-
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # building one subparser instead of all of them is most of a cheap call
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

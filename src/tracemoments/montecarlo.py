@@ -2,7 +2,10 @@
 
 Sampling is keyed by (seed, batch index) through the counter-based Philox
 generator, with a fixed batch size, so a run is bit-reproducible no matter how
-batches are scheduled; partial final batches only truncate the stream.
+batches are scheduled; partial final batches only truncate the stream.  Each
+batch is drawn, multiplied out and traced in chunks of about CHUNK_VALUES
+doubles that continue its stream, so the traces are those of the whole batch
+while the memory a run uses does not grow with the batch.
 
 Each replication is a symmetric p x p matrix, p <= n after transposition, with
 the eigenvalues of X X^T: the Gram itself for rademacher (exact in float32)
@@ -28,6 +31,8 @@ RNG_ALGORITHM = (
     "rademacher: packed bits, uniform: doubles"
 )
 BATCH_SIZE = 1024
+# doubles in the largest array of a chunk of a batch: 1 MB, so a chunk stays in cache
+CHUNK_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -120,14 +125,45 @@ class SimulationReport:
         return rows
 
 
-def _draw_batch(
+def _open_batch(
     distribution: str, seed: int, batch_index: int, count: int, p: int, n: int
-) -> np.ndarray:
-    """A stack of `count` symmetric p x p matrices, p <= n, whose eigenvalues
-    have the joint law of those of X X^T for a p x n matrix X.
+) -> tuple[np.random.Generator, np.ndarray | None]:
+    """The Philox (seed, batch_index) generator of one batch, and the draws
+    that are small enough to make once for the whole batch.
 
-    Every draw is keyed by Philox (seed, batch_index) and made row-major as
-    (count, ...), so a shorter batch is a prefix of the full one.
+    gaussian draws its count x (2p - 1) chi-squares here and rademacher its
+    count x ceil(p n / 8) random bytes; `_draw_batch` expands a chunk of their
+    rows.  Drawing the bytes per chunk would change the stream, as `integers`
+    with dtype uint8 keeps a 4-byte buffer local to each call.  uniform draws
+    nothing here (None): its doubles continue the generator's stream chunk by
+    chunk.
+    """
+    key = np.array([seed, batch_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    if distribution == "gaussian":
+        dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
+        return gen, gen.chisquare(dfs, size=(count, 2 * p - 1))
+    if distribution == "rademacher":
+        return gen, gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
+    return gen, None
+
+
+def _draw_batch(
+    distribution: str,
+    batch: tuple[np.random.Generator, np.ndarray | None],
+    start: int,
+    stop: int,
+    p: int,
+    n: int,
+) -> np.ndarray:
+    """Replications start..stop-1 of a batch opened by `_open_batch`: a stack
+    of symmetric p x p matrices, p <= n, whose eigenvalues have the joint law
+    of those of X X^T for a p x n matrix X.
+
+    The chunks of a batch must be drawn in order, as uniform takes its doubles
+    from the batch's generator.  Every draw is made row-major as (count, ...),
+    so the chunks of a batch continue one stream, and a shorter batch is a
+    prefix of the full one.
     - gaussian: the tridiagonal B B^T of the beta = 1 Laguerre model
       (Dumitriu and Edelman 2002), B lower bidiagonal with
       d_i = sqrt(chi^2_{n-i}) on the diagonal, i = 0..p-1, and
@@ -140,11 +176,10 @@ def _draw_batch(
       float32 while n < 2^24, so the product runs in float32 there.
     - uniform: the Gram X X^T of sqrt(3) (2 U - 1) per entry.
     """
-    key = np.array([seed, batch_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen, drawn = batch
+    count = stop - start
     if distribution == "gaussian":
-        dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
-        chi2 = gen.chisquare(dfs, size=(count, 2 * p - 1))
+        chi2 = drawn[start:stop]
         d2, e2 = chi2[:, :p], chi2[:, p:]
         tri = np.zeros((count, p, p))
         i = np.arange(p)
@@ -155,9 +190,9 @@ def _draw_batch(
         tri[:, i[1:], i[:-1]] = beside
         return tri
     if distribution == "rademacher":
-        packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
         dtype = np.float32 if n < 2**24 else np.float64
-        x = np.unpackbits(packed, axis=1, count=p * n).reshape(count, p, n).astype(dtype)
+        x = np.unpackbits(drawn[start:stop], axis=1, count=p * n)
+        x = x.reshape(count, p, n).astype(dtype)
         x *= 2.0
         x -= 1.0
         return (x @ x.transpose(0, 2, 1)).astype(np.float64)
@@ -168,41 +203,59 @@ def _draw_batch(
     return x @ x.transpose(0, 2, 1)
 
 
+def _chunk_edges(count: int, widest: int) -> list[int]:
+    """Edges of near-equal chunks of a batch of `count` replications, each
+    about CHUNK_VALUES / widest replications but at least 2.
+
+    One-matrix stacks are avoided because einsum sums them along another
+    path, whose last bits differ; a batch of 1 is its own chunk.
+    """
+    size = max(2, CHUNK_VALUES // widest)
+    chunks = max(1, min(-(-count // size), count // 2))
+    return [count * k // chunks for k in range(chunks + 1)]
+
+
 def sample_traces(config: SimulationConfig) -> np.ndarray:
     """Per-replication values of tr(S^l), shape (replications, len(l_list)).
 
-    For p > n the draw is transposed: tr((X^T X / n)^l) = tr((X X^T / n)^l),
-    so the traces need no rescaling.  Raises ValueError when a trace is not
-    finite in double precision.
+    Each keyed batch is drawn, multiplied out and traced in chunks whose
+    largest array holds about CHUNK_VALUES doubles, so the working set stays
+    in cache and the memory a run uses does not grow with the batch.  The
+    chunks continue the batch's stream, so the traces are those of drawing
+    the batch whole.  For p > n the draw is transposed:
+    tr((X^T X / n)^l) = tr((X X^T / n)^l), so the traces need no rescaling.
+    Raises ValueError when a trace is not finite in double precision.
     """
     p, n = sorted((config.p, config.n))
     max_l = max(config.l_list)
+    widest = p * p if config.distribution == "gaussian" else p * n
     out = np.empty((config.replications, len(config.l_list)), dtype=np.float64)
-    done = 0
-    batch = 0
-    while done < config.replications:
+    for batch, done in enumerate(range(0, config.replications, BATCH_SIZE)):
         count = min(BATCH_SIZE, config.replications - done)
-        gram = _draw_batch(config.distribution, config.rng_seed, batch, count, p, n)
-        gram /= config.n
-        # G is symmetric, so tr(G^l) is the sum of the entries of
-        # G^ceil(l/2) * G^floor(l/2), elementwise: only the powers up to
-        # ceil(max_l/2) are multiplied out
+        drawn = _open_batch(config.distribution, config.rng_seed, batch, count, p, n)
+        edges = _chunk_edges(count, widest)
+        # overflow is reported per power below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            halves = [gram]
-            while len(halves) < (max_l + 1) // 2:
-                halves.append(halves[-1] @ gram)
-            for idx, l in enumerate(config.l_list):
-                if l == 1:  # the diagonal sum, exact wherever the diagonal is
-                    traces = np.einsum("rii->r", gram)
-                else:
-                    traces = np.einsum(
-                        "rij,rij->r", halves[(l + 1) // 2 - 1], halves[l // 2 - 1]
-                    )
-                if not np.isfinite(traces).all():
-                    raise ValueError(f"tr(S^{l}) is not finite in double precision")
-                out[done : done + count, idx] = traces
-        done += count
-        batch += 1
+            for start, stop in zip(edges, edges[1:]):
+                gram = _draw_batch(config.distribution, drawn, start, stop, p, n)
+                gram /= config.n
+                # G is symmetric, so tr(G^l) is the sum of the entries of
+                # G^ceil(l/2) * G^floor(l/2), elementwise: only the powers up
+                # to ceil(max_l/2) are multiplied out
+                halves = [gram]
+                while len(halves) < (max_l + 1) // 2:
+                    halves.append(halves[-1] @ gram)
+                rows = out[done + start : done + stop]
+                for idx, l in enumerate(config.l_list):
+                    if l == 1:  # the diagonal sum, exact wherever the diagonal is
+                        rows[:, idx] = np.einsum("rii->r", gram)
+                    else:
+                        rows[:, idx] = np.einsum(
+                            "rij,rij->r", halves[(l + 1) // 2 - 1], halves[l // 2 - 1]
+                        )
+        for idx, l in enumerate(config.l_list):
+            if not np.isfinite(out[done : done + count, idx]).all():
+                raise ValueError(f"tr(S^{l}) is not finite in double precision")
     return out
 
 
@@ -214,18 +267,18 @@ def _z_score(empirical: float, exact: float | None, se: float) -> float | None:
     return 0.0 if empirical == exact else math.inf
 
 
-def _jackknife_cov_se(x: np.ndarray, y: np.ndarray) -> float:
-    """Leave-one-out jackknife standard error of the sample covariance.
+def _jackknife_cov_se(products: np.ndarray) -> float:
+    """Leave-one-out jackknife standard error of a sample covariance, from the
+    products c_x,i c_y,i of its two centred columns.
 
-    On centred data c the covariance leaving out i is
-    (sum(c_x c_y) - r/(r-1) c_x,i c_y,i) / (r-2), so the leave-one-out values
-    spread as the products c_x,i c_y,i do.  Centring first keeps large means
-    from cancelling the spread away, as raw sums would.
+    The covariance leaving out i is (sum(c_x c_y) - r/(r-1) c_x,i c_y,i) / (r-2),
+    so the leave-one-out values spread as the products do.  Centring the
+    columns first keeps large means from cancelling the spread away, as raw
+    sums would.
     """
-    r = len(x)
-    products = (x - x.mean()) * (y - y.mean())
-    products -= products.mean()
-    spread = math.sqrt((r - 1) / r * float(products @ products))
+    r = len(products)
+    deviations = products - products.mean()
+    spread = math.sqrt((r - 1) / r * float(deviations @ deviations))
     return r / ((r - 1) * (r - 2)) * spread
 
 
@@ -244,13 +297,17 @@ def simulate(
         exact = reference.means.get(l)
         exact_f = None if exact is None else float(exact)
         means.append(MeanStat(l, empirical, se, exact_f, _z_score(empirical, exact_f, se)))
+    # centre each column once, in place: a copy of every column would hold
+    # as much memory as the traces do
+    for col in traces.T:
+        col -= col.mean()
     covs: list[CovStat] = []
     for a in range(len(config.l_list)):
         for b in range(a, len(config.l_list)):
             l1, l2 = config.l_list[a], config.l_list[b]
-            x, y = traces[:, a], traces[:, b]
-            empirical = float(((x - x.mean()) * (y - y.mean())).sum() / (r - 1))
-            se = _jackknife_cov_se(x, y)
+            products = traces[:, a] * traces[:, b]
+            empirical = float(products.sum() / (r - 1))
+            se = _jackknife_cov_se(products)
             exact = reference.covariances.get((l1, l2))
             if exact is None:
                 exact = reference.covariances.get((l2, l1))

@@ -2,7 +2,8 @@
 route-pair reference for the signature census, a per-quadruple reference
 for the covariance oracle, rescanning trims with label-level seed-class
 censuses that visit every route pair, per-b references for the
-closed-form covariance coefficients, and the Bartlett Wishart sampler."""
+closed-form covariance coefficients, the Bartlett Wishart sampler, and the
+whole-batch Monte Carlo trace loop."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from tracemoments.graphs import (
     reversed_edge_counts,
     zip_routes,
 )
+from tracemoments.montecarlo import BATCH_SIZE
 from tracemoments.weights import covariance_weight
 
 
@@ -299,3 +301,70 @@ def reference_bartlett_gram(seed: int, batch_index: int, count: int, p: int, n: 
     diagonal = np.arange(p)
     factor[:, diagonal, diagonal] = np.sqrt(chi2)
     return factor @ factor.transpose(0, 2, 1)
+
+
+def _reference_whole_batch(
+    distribution: str, seed: int, batch_index: int, count: int, p: int, n: int
+) -> np.ndarray:
+    """All `count` matrices of the Philox (seed, batch_index) batch, p <= n,
+    drawn at once: the tridiagonal Laguerre model for gaussian, the float32
+    Gram of packed sign bits for rademacher, the Gram of scaled doubles for
+    uniform."""
+    key = np.array([seed, batch_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    if distribution == "gaussian":
+        dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
+        chi2 = gen.chisquare(dfs, size=(count, 2 * p - 1))
+        d2, e2 = chi2[:, :p], chi2[:, p:]
+        tri = np.zeros((count, p, p))
+        i = np.arange(p)
+        tri[:, i, i] = d2
+        tri[:, i[1:], i[1:]] += e2
+        beside = np.sqrt(d2[:, :-1] * e2)
+        tri[:, i[:-1], i[1:]] = beside
+        tri[:, i[1:], i[:-1]] = beside
+        return tri
+    if distribution == "rademacher":
+        packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
+        dtype = np.float32 if n < 2**24 else np.float64
+        x = np.unpackbits(packed, axis=1, count=p * n).reshape(count, p, n).astype(dtype)
+        x *= 2.0
+        x -= 1.0
+        return (x @ x.transpose(0, 2, 1)).astype(np.float64)
+    x = gen.random((count, p, n))
+    x *= 2.0
+    x -= 1.0
+    x *= sqrt(3.0)
+    return x @ x.transpose(0, 2, 1)
+
+
+def reference_sample_traces(config) -> np.ndarray:
+    """tr(S^l) per replication, each keyed batch drawn, multiplied out and
+    traced as one array: the loop the chunked `sample_traces` must match bit
+    for bit."""
+    p, n = sorted((config.p, config.n))
+    max_l = max(config.l_list)
+    out = np.empty((config.replications, len(config.l_list)), dtype=np.float64)
+    done = 0
+    batch = 0
+    while done < config.replications:
+        count = min(BATCH_SIZE, config.replications - done)
+        gram = _reference_whole_batch(config.distribution, config.rng_seed, batch, count, p, n)
+        gram /= config.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            halves = [gram]
+            while len(halves) < (max_l + 1) // 2:
+                halves.append(halves[-1] @ gram)
+            for idx, l in enumerate(config.l_list):
+                if l == 1:
+                    traces = np.einsum("rii->r", gram)
+                else:
+                    traces = np.einsum(
+                        "rij,rij->r", halves[(l + 1) // 2 - 1], halves[l // 2 - 1]
+                    )
+                if not np.isfinite(traces).all():
+                    raise ValueError(f"tr(S^{l}) is not finite in double precision")
+                out[done : done + count, idx] = traces
+        done += count
+        batch += 1
+    return out

@@ -266,3 +266,27 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, "verify", "--suite", "taylor", "--no-timestamp")
     assert status == 2
     assert json.loads(out)["failures"] == ["synthetic"]
+
+
+# help, and usage errors raised by the top-level parser and by a subparser
+PARSER_CASES = (
+    ("--help",), ("mean-oracle", "--help"), ("simulate", "--help"), ("foo",),
+    ("mean-oracle", "--l", "x"), ("mp", "--l", "2", "--y", "1/2", "--wat", "1"),
+    ("verify", "--suite", "nope"), (),
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    def outcome():
+        try:
+            status = cli.main(list(argv))
+        except SystemExit as exc:  # --help
+            status = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    got = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == outcome()

@@ -7,6 +7,8 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     double_bucket,
@@ -269,6 +271,21 @@ def test_transposition_identity_of_the_oracle():
             lhs = exact_trace_covariance(1, 1, p, n, moments)
             rhs = Fraction(p, n) ** 2 * exact_trace_covariance(1, 1, n, p, moments)
             assert lhs == rhs, (p, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dist=st.sampled_from(("gaussian", "rademacher", "uniform")),
+    l=st.integers(1, 4), p=st.integers(1, 6), n=st.integers(1, 6),
+)
+def test_transposition_identity_of_the_oracle_property(dist, l, p, n):
+    moments = preset_moments(dist, 8)
+    lhs = exact_trace_moment(l, p, n, moments).value
+    assert lhs == Fraction(p, n) ** l * exact_trace_moment(l, n, p, moments).value
+    for l1, l2 in ((1, 1), (1, 2)):
+        lhs = exact_trace_covariance(l1, l2, p, n, moments)
+        rhs = Fraction(p, n) ** (l1 + l2) * exact_trace_covariance(l1, l2, n, p, moments)
+        assert lhs == rhs, (l1, l2)
 
 
 def test_cost_guards():

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import reference_bartlett_gram
+from helpers import reference_bartlett_gram, reference_sample_traces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from tracemoments.montecarlo import (
     SimulationConfig,
     _draw_batch,
     _jackknife_cov_se,
+    _open_batch,
     oracle_references,
     sample_traces,
     simulate,
@@ -53,6 +55,12 @@ DISTS = ("gaussian", "rademacher", "uniform")
 SHAPES = ((2, 4), (3, 5), (5, 3))
 
 
+def _whole_batch(distribution, seed, batch_index, count, p, n):
+    """Every matrix of one keyed batch, drawn as a single chunk."""
+    batch = _open_batch(distribution, seed, batch_index, count, p, n)
+    return _draw_batch(distribution, batch, 0, count, p, n)
+
+
 def test_bitwise_reproducibility():
     for dist in DISTS:
         for p, n in SHAPES:
@@ -73,13 +81,44 @@ def test_replication_prefix_property():
             assert np.array_equal(long[:1000], short), (dist, p, n)
 
 
+# (p, n, replications): 1025 ends with a batch of one replication; the others
+# end with a partial batch, cut into other chunks than a full batch is; at
+# 300 x 300 every chunk holds 2 or 3 replications
+CHUNKED_CASES = (
+    (3, 5, 1025), (5, 3, 1500), (1, 400, 1025), (1, 400, 1500),
+    (50, 100, 1025), (100, 50, 1500), (300, 300, 101),
+)
+
+
+@pytest.mark.parametrize("dist", DISTS)
+@pytest.mark.parametrize("p, n, reps", CHUNKED_CASES)
+def test_chunked_traces_match_the_whole_batch(dist, p, n, reps):
+    powers = (1, 2, 3, 4, 5) if p * n < 90000 else (1, 2, 3, 4)
+    cfg = _config(p=p, n=n, l_list=powers, distribution=dist, replications=reps, rng_seed=3)
+    assert np.array_equal(sample_traces(cfg), reference_sample_traces(cfg))
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_sample_traces_memory_is_bounded(dist):
+    # drawn whole, a batch of 200 replications at 300 x 300 holds 144 MB in
+    # each stack of matrices
+    cfg = _config(p=300, n=300, l_list=(1, 2, 3, 4), distribution=dist, replications=200)
+    tracemalloc.start()
+    try:
+        sample_traces(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000, peak
+
+
 def test_uniform_draws_are_scaled_philox_doubles():
     # the uniform stream is sqrt(3) (2 U - 1), U the doubles of Philox (seed, batch)
     for p, n in ((3, 5), (4, 8)):
         key = np.array([7, 2], dtype=np.uint64)
         u = np.random.Generator(np.random.Philox(key=key)).random((10, p, n))
         x = np.sqrt(3.0) * (2.0 * u - 1.0)
-        assert np.array_equal(_draw_batch("uniform", 7, 2, 10, p, n), x @ x.transpose(0, 2, 1))
+        assert np.array_equal(_whole_batch("uniform", 7, 2, 10, p, n), x @ x.transpose(0, 2, 1))
 
 
 def test_rademacher_gram_is_the_float64_gram_of_the_same_bits():
@@ -89,19 +128,24 @@ def test_rademacher_gram_is_the_float64_gram_of_the_same_bits():
         gen = np.random.Generator(np.random.Philox(key=key))
         packed = gen.integers(0, 256, size=(20, -(-p * n // 8)), dtype=np.uint8)
         x = np.unpackbits(packed, axis=1, count=p * n).reshape(20, p, n) * 2.0 - 1.0
-        gram = _draw_batch("rademacher", 7, 2, 20, p, n)
+        gram = _whole_batch("rademacher", 7, 2, 20, p, n)
         assert gram.dtype == np.float64
         assert np.array_equal(gram, x @ x.transpose(0, 2, 1)), (p, n)
 
 
 @pytest.mark.parametrize("p, n", [(1, 4), (3, 3), (4, 8), (50, 100)])
 def test_gaussian_draw_is_symmetric_tridiagonal(p, n):
-    tri = _draw_batch("gaussian", 7, 0, 200, p, n)
+    tri = _whole_batch("gaussian", 7, 0, 200, p, n)
     assert tri.shape == (200, p, p)
     assert np.array_equal(tri, tri.transpose(0, 2, 1))
     rows, cols = np.indices((p, p))
     assert not tri[:, abs(rows - cols) > 1].any()
     assert (np.diagonal(tri, axis1=1, axis2=2) > 0).all()
+
+
+def _centred_products(x, y):
+    # as simulate forms them: each column centred once, then multiplied
+    return (x - x.mean()) * (y - y.mean())
 
 
 def _moment_stats(traces: np.ndarray):
@@ -111,9 +155,8 @@ def _moment_stats(traces: np.ndarray):
     covs = {}
     for a in range(traces.shape[1]):
         for b in range(a, traces.shape[1]):
-            x, y = traces[:, a], traces[:, b]
-            cov = ((x - x.mean()) * (y - y.mean())).sum() / (r - 1)
-            covs[(a, b)] = (cov, _jackknife_cov_se(x, y))
+            products = _centred_products(traces[:, a], traces[:, b])
+            covs[(a, b)] = (products.sum() / (r - 1), _jackknife_cov_se(products))
     return means, covs
 
 
@@ -169,8 +212,8 @@ def test_paired_power_traces_match_explicit_powers(l_list):
         for p, n in ((3, 5), (5, 3)):
             rows, cols = sorted((p, n))
             grams = np.concatenate([
-                _draw_batch(dist, 7, 0, BATCH_SIZE, rows, cols),
-                _draw_batch(dist, 7, 1, reps - BATCH_SIZE, rows, cols),
+                _whole_batch(dist, 7, 0, BATCH_SIZE, rows, cols),
+                _whole_batch(dist, 7, 1, reps - BATCH_SIZE, rows, cols),
             ])
             cfg = _config(p=p, n=n, l_list=l_list, distribution=dist, replications=reps)
             traces = sample_traces(cfg)
@@ -238,9 +281,10 @@ def test_jackknife_se_is_shift_invariant():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(2000)
     y = x + rng.standard_normal(2000)
-    se = _jackknife_cov_se(x, y)
+    se = _jackknife_cov_se(_centred_products(x, y))
     assert se > 0
-    assert _jackknife_cov_se(x + 1e8, y + 1e8) == pytest.approx(se, rel=1e-6)
+    shifted = _centred_products(x + 1e8, y + 1e8)
+    assert _jackknife_cov_se(shifted) == pytest.approx(se, rel=1e-6)
 
 
 def test_report_serialization():
