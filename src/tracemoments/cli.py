@@ -197,10 +197,14 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    try:
+        l_list = tuple(int(part) for part in args.l.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad power list {args.l!r}") from exc
     config = montecarlo.SimulationConfig(
         p=args.p,
         n=args.n,
-        l_list=tuple(int(part) for part in args.l.split(",")),
+        l_list=l_list,
         replications=args.reps,
         distribution=args.dist,
         rng_seed=args.seed,

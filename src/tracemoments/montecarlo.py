@@ -13,6 +13,8 @@ and uniform entries, and for gaussian entries the tridiagonal beta = 1
 Laguerre model of Dumitriu and Edelman (2002), 2p - 1 chi-squares per
 replication.  The matrix is divided by n before its powers are taken, so
 tr(S^l) needs no further scaling and overflows only where its value does.
+Grams are raised to their powers as dense matrices; a tridiagonal T is kept
+as its bands, as T^k has bandwidth k, so each power costs O(p k), not O(p^3).
 """
 
 from __future__ import annotations
@@ -155,10 +157,10 @@ def _draw_batch(
     stop: int,
     p: int,
     n: int,
-) -> np.ndarray:
-    """Replications start..stop-1 of a batch opened by `_open_batch`: a stack
-    of symmetric p x p matrices, p <= n, whose eigenvalues have the joint law
-    of those of X X^T for a p x n matrix X.
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Replications start..stop-1 of a batch opened by `_open_batch`, p <= n:
+    symmetric p x p matrices whose eigenvalues have the joint law of those of
+    X X^T for a p x n matrix X.
 
     The chunks of a batch must be drawn in order, as uniform takes its doubles
     from the batch's generator.  Every draw is made row-major as (count, ...),
@@ -168,8 +170,9 @@ def _draw_batch(
       (Dumitriu and Edelman 2002), B lower bidiagonal with
       d_i = sqrt(chi^2_{n-i}) on the diagonal, i = 0..p-1, and
       e_i = sqrt(chi^2_{p-1-i}) below it, i = 0..p-2: 2p - 1 chi-squares per
-      draw.  B B^T has d_i^2 + e_{i-1}^2 on the diagonal and d_i e_i beside
-      it; it is not the Gram X X^T, but every tr(S^l) depends only on the
+      draw.  Returned as its diagonal d_i^2 + e_{i-1}^2, shape (count, p),
+      and the d_i e_i beside it, shape (count, p - 1), not as matrices.  B B^T
+      is not the Gram X X^T, but every tr(S^l) depends only on the
       eigenvalues.
     - rademacher: the Gram X X^T of one bit per entry, unpacked from uniform
       bytes.  Its entries and sums are integers of size at most n, exact in
@@ -181,14 +184,9 @@ def _draw_batch(
     if distribution == "gaussian":
         chi2 = drawn[start:stop]
         d2, e2 = chi2[:, :p], chi2[:, p:]
-        tri = np.zeros((count, p, p))
-        i = np.arange(p)
-        tri[:, i, i] = d2
-        tri[:, i[1:], i[1:]] += e2
-        beside = np.sqrt(d2[:, :-1] * e2)
-        tri[:, i[:-1], i[1:]] = beside
-        tri[:, i[1:], i[:-1]] = beside
-        return tri
+        diagonal = d2.copy()
+        diagonal[:, 1:] += e2
+        return diagonal, np.sqrt(d2[:, :-1] * e2)
     if distribution == "rademacher":
         dtype = np.float32 if n < 2**24 else np.float64
         x = np.unpackbits(drawn[start:stop], axis=1, count=p * n)
@@ -207,12 +205,78 @@ def _chunk_edges(count: int, widest: int) -> list[int]:
     """Edges of near-equal chunks of a batch of `count` replications, each
     about CHUNK_VALUES / widest replications but at least 2.
 
-    One-matrix stacks are avoided because einsum sums them along another
-    path, whose last bits differ; a batch of 1 is its own chunk.
+    One-replication chunks are avoided because numpy sums them along another
+    path, whose last bits differ: einsum for one matrix, a contiguous pairwise
+    sum for one replication's bands.  A batch of 1 is its own chunk.
     """
     size = max(2, CHUNK_VALUES // widest)
     chunks = max(1, min(-(-count // size), count // 2))
     return [count * k // chunks for k in range(chunks + 1)]
+
+
+def _tridiagonal_bands(diagonal: np.ndarray, beside: np.ndarray, n: int) -> np.ndarray:
+    """The tridiagonals of `_draw_batch`, divided by n, in the band storage
+    of `_band_powers`: shape (min(2, p), p, count)."""
+    count, p = diagonal.shape
+    tri = np.zeros((min(2, p), p, count))
+    np.divide(diagonal.T, n, out=tri[0])
+    if p > 1:
+        np.divide(beside.T, n, out=tri[1, 1:])
+    return tri
+
+
+def _band_powers(tri: np.ndarray, top: int) -> list[np.ndarray]:
+    """T, T^2, ..., T^top of a stack of symmetric tridiagonal matrices, in
+    band storage.
+
+    A power P is an array (bands, p, count): band j holds P[c - j, c] at
+    column c (zero for c < j), and the replications run along the last axis,
+    so no shift mixes them.  T^k has bandwidth min(k, p - 1), and with d the
+    diagonal of T and e_c = T[c, c + 1], each product takes three shifted
+    multiply-adds:
+        (P T)[c - j, c] = P[c - j, c - 1] e_{c-1} + P[c - j, c] d_c
+                          + P[c - j, c + 1] e_c,
+    bands j - 1 at c - 1, j at c and j + 1 at c + 1; on the diagonal, the
+    first term is band 1 at c, by symmetry.
+    """
+    p = tri.shape[1]
+    d, e = tri[0], tri[-1, 1:]
+    powers = [tri]
+    while len(powers) < top:
+        power = powers[-1]
+        width = len(power) - 1
+        wider = min(width + 1, p - 1)
+        product = np.empty((wider + 1,) + power.shape[1:])
+        np.multiply(power, d, out=product[: width + 1])
+        if wider > width:
+            product[wider] = 0.0
+        product[1:, 1:] += power[:wider, :-1] * e
+        if width:
+            above = power[1:, 1:] * e
+            product[:width, :-1] += above
+            product[0, 1:] += above[0]
+        powers.append(product)
+    return powers
+
+
+def _band_diagonal_sum(x: np.ndarray) -> np.ndarray:
+    return x[0].sum(axis=0)
+
+
+def _band_pair_trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum(X * Y), elementwise, per replication, of symmetric X and Y in band
+    storage: the diagonal once, each band above it twice for its mirror."""
+    bands = min(len(x), len(y))
+    per_band = (x[:bands] * y[:bands]).sum(axis=1)
+    return per_band[0] + 2.0 * per_band[1:].sum(axis=0)
+
+
+def _dense_diagonal_sum(x: np.ndarray) -> np.ndarray:
+    return np.einsum("rii->r", x)
+
+
+def _dense_pair_trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("rij,rij->r", x, y)
 
 
 def sample_traces(config: SimulationConfig) -> np.ndarray:
@@ -224,11 +288,18 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     chunks continue the batch's stream, so the traces are those of drawing
     the batch whole.  For p > n the draw is transposed:
     tr((X^T X / n)^l) = tr((X X^T / n)^l), so the traces need no rescaling.
+    A gaussian tridiagonal T is multiplied out in band storage, O(p k) work
+    and memory for T^k; the Grams of the other distributions as dense
+    matrices.
     Raises ValueError when a trace is not finite in double precision.
     """
     p, n = sorted((config.p, config.n))
-    max_l = max(config.l_list)
-    widest = p * p if config.distribution == "gaussian" else p * n
+    gaussian = config.distribution == "gaussian"
+    # S is symmetric, so tr(S^l) is the sum of the entries of
+    # S^ceil(l/2) * S^floor(l/2), elementwise: only the powers up to
+    # ceil(max_l/2) are multiplied out
+    top = (max(config.l_list) + 1) // 2
+    widest = (min(top, p - 1) + 1) * p if gaussian else p * n
     out = np.empty((config.replications, len(config.l_list)), dtype=np.float64)
     for batch, done in enumerate(range(0, config.replications, BATCH_SIZE)):
         count = min(BATCH_SIZE, config.replications - done)
@@ -237,22 +308,22 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
         # overflow is reported per power below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             for start, stop in zip(edges, edges[1:]):
-                gram = _draw_batch(config.distribution, drawn, start, stop, p, n)
-                gram /= config.n
-                # G is symmetric, so tr(G^l) is the sum of the entries of
-                # G^ceil(l/2) * G^floor(l/2), elementwise: only the powers up
-                # to ceil(max_l/2) are multiplied out
-                halves = [gram]
-                while len(halves) < (max_l + 1) // 2:
-                    halves.append(halves[-1] @ gram)
+                chunk = _draw_batch(config.distribution, drawn, start, stop, p, n)
+                if gaussian:
+                    halves = _band_powers(_tridiagonal_bands(*chunk, config.n), top)
+                    diagonal_sum, pair = _band_diagonal_sum, _band_pair_trace
+                else:
+                    chunk /= config.n
+                    halves = [chunk]
+                    while len(halves) < top:
+                        halves.append(halves[-1] @ chunk)
+                    diagonal_sum, pair = _dense_diagonal_sum, _dense_pair_trace
                 rows = out[done + start : done + stop]
                 for idx, l in enumerate(config.l_list):
-                    if l == 1:  # the diagonal sum, exact wherever the diagonal is
-                        rows[:, idx] = np.einsum("rii->r", gram)
+                    if l == 1:  # exact wherever the diagonal is
+                        rows[:, idx] = diagonal_sum(halves[0])
                     else:
-                        rows[:, idx] = np.einsum(
-                            "rij,rij->r", halves[(l + 1) // 2 - 1], halves[l // 2 - 1]
-                        )
+                        rows[:, idx] = pair(halves[(l + 1) // 2 - 1], halves[l // 2 - 1])
         for idx, l in enumerate(config.l_list):
             if not np.isfinite(out[done : done + count, idx]).all():
                 raise ValueError(f"tr(S^{l}) is not finite in double precision")

@@ -111,7 +111,11 @@ class MomentSequence:
     @staticmethod
     def parse(text: str) -> "MomentSequence":
         """Parse a comma-separated rational list such as "1,0,1,0,3"."""
-        return MomentSequence(Fraction(part) for part in text.split(","))
+        try:
+            moments = [Fraction(part) for part in text.split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad moment list {text!r}") from exc
+        return MomentSequence(moments)
 
 
 _PRESET_ALIASES = {

@@ -303,6 +303,21 @@ def reference_bartlett_gram(seed: int, batch_index: int, count: int, p: int, n: 
     return factor @ factor.transpose(0, 2, 1)
 
 
+def reference_tridiagonal(chi2: np.ndarray, p: int) -> np.ndarray:
+    """The dense p x p tridiagonals B B^T of the beta = 1 Laguerre model from
+    their count x (2p - 1) chi-squares: d_i^2 = chi2[:, i] on B's diagonal,
+    e_i^2 = chi2[:, p + i] below it."""
+    d2, e2 = chi2[:, :p], chi2[:, p:]
+    tri = np.zeros((len(chi2), p, p))
+    i = np.arange(p)
+    tri[:, i, i] = d2
+    tri[:, i[1:], i[1:]] += e2
+    beside = np.sqrt(d2[:, :-1] * e2)
+    tri[:, i[:-1], i[1:]] = beside
+    tri[:, i[1:], i[:-1]] = beside
+    return tri
+
+
 def _reference_whole_batch(
     distribution: str, seed: int, batch_index: int, count: int, p: int, n: int
 ) -> np.ndarray:
@@ -314,16 +329,7 @@ def _reference_whole_batch(
     gen = np.random.Generator(np.random.Philox(key=key))
     if distribution == "gaussian":
         dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
-        chi2 = gen.chisquare(dfs, size=(count, 2 * p - 1))
-        d2, e2 = chi2[:, :p], chi2[:, p:]
-        tri = np.zeros((count, p, p))
-        i = np.arange(p)
-        tri[:, i, i] = d2
-        tri[:, i[1:], i[1:]] += e2
-        beside = np.sqrt(d2[:, :-1] * e2)
-        tri[:, i[:-1], i[1:]] = beside
-        tri[:, i[1:], i[:-1]] = beside
-        return tri
+        return reference_tridiagonal(gen.chisquare(dfs, size=(count, 2 * p - 1)), p)
     if distribution == "rademacher":
         packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
         dtype = np.float32 if n < 2**24 else np.float64
@@ -340,8 +346,9 @@ def _reference_whole_batch(
 
 def reference_sample_traces(config) -> np.ndarray:
     """tr(S^l) per replication, each keyed batch drawn, multiplied out and
-    traced as one array: the loop the chunked `sample_traces` must match bit
-    for bit."""
+    traced as one array of dense matrices: the loop the chunked
+    `sample_traces` must match bit for bit for rademacher and uniform, and to
+    rounding for the banded gaussian powers."""
     p, n = sorted((config.p, config.n))
     max_l = max(config.l_list)
     out = np.empty((config.replications, len(config.l_list)), dtype=np.float64)

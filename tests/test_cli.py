@@ -116,6 +116,24 @@ def test_census_double_rejects_empty_walks(capsys):
         assert "l1 and l2 must be positive" in err and "Traceback" not in err
 
 
+def test_simulate_rejects_a_bad_power_list(capsys):
+    status, out, err = run_cli(
+        capsys, "simulate", "--p", "2", "--n", "3", "--l", "1,,2", "--reps", "200",
+        "--dist", "gaussian", "--seed", "1", "--no-timestamp",
+    )
+    assert status == 1 and out == ""
+    assert err == "error: bad power list '1,,2'\n"
+
+
+def test_bad_moment_list_is_named(capsys):
+    status, out, err = run_cli(
+        capsys, "mean-oracle", "--l", "2", "--p", "2", "--n", "3",
+        "--moments", "1,,1,0,3", "--no-timestamp",
+    )
+    assert status == 1 and out == ""
+    assert err == "error: bad moment list '1,,1,0,3'\n"
+
+
 def test_verify_rejects_max_l_below_one(capsys):
     for argv in [
         ("verify", "--suite", "taylor", "--max-l", "0"),

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import reference_bartlett_gram, reference_sample_traces
+from helpers import reference_bartlett_gram, reference_sample_traces, reference_tridiagonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracemoments import montecarlo
 from tracemoments.montecarlo import (
     BATCH_SIZE,
     ExactReferences,
@@ -56,8 +57,11 @@ SHAPES = ((2, 4), (3, 5), (5, 3))
 
 
 def _whole_batch(distribution, seed, batch_index, count, p, n):
-    """Every matrix of one keyed batch, drawn as a single chunk."""
+    """Every matrix of one keyed batch, drawn as a single chunk; for gaussian,
+    the dense tridiagonals of its chi-squares."""
     batch = _open_batch(distribution, seed, batch_index, count, p, n)
+    if distribution == "gaussian":
+        return reference_tridiagonal(batch[1], p)
     return _draw_batch(distribution, batch, 0, count, p, n)
 
 
@@ -83,7 +87,7 @@ def test_replication_prefix_property():
 
 # (p, n, replications): 1025 ends with a batch of one replication; the others
 # end with a partial batch, cut into other chunks than a full batch is; at
-# 300 x 300 every chunk holds 2 or 3 replications
+# 300 x 300 every dense chunk holds 2 or 3 replications
 CHUNKED_CASES = (
     (3, 5, 1025), (5, 3, 1500), (1, 400, 1025), (1, 400, 1500),
     (50, 100, 1025), (100, 50, 1500), (300, 300, 101),
@@ -92,10 +96,22 @@ CHUNKED_CASES = (
 
 @pytest.mark.parametrize("dist", DISTS)
 @pytest.mark.parametrize("p, n, reps", CHUNKED_CASES)
-def test_chunked_traces_match_the_whole_batch(dist, p, n, reps):
+def test_chunked_traces_match_the_whole_batch(dist, p, n, reps, monkeypatch):
     powers = (1, 2, 3, 4, 5) if p * n < 90000 else (1, 2, 3, 4)
     cfg = _config(p=p, n=n, l_list=powers, distribution=dist, replications=reps, rng_seed=3)
-    assert np.array_equal(sample_traces(cfg), reference_sample_traces(cfg))
+    chunked = sample_traces(cfg)
+    if dist != "gaussian":
+        assert np.array_equal(chunked, reference_sample_traces(cfg))
+        return
+    # gaussian bands are small, so most of these batches fit in one chunk:
+    # also cut every batch into chunks of 2 or 3, and compare both with the
+    # band path traced one whole batch at a time
+    monkeypatch.setattr(montecarlo, "CHUNK_VALUES", 1)
+    smallest = sample_traces(cfg)
+    monkeypatch.setattr(montecarlo, "CHUNK_VALUES", 2**62)
+    whole = sample_traces(cfg)
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(smallest, whole)
 
 
 @pytest.mark.parametrize("dist", DISTS)
@@ -103,6 +119,24 @@ def test_sample_traces_memory_is_bounded(dist):
     # drawn whole, a batch of 200 replications at 300 x 300 holds 144 MB in
     # each stack of matrices
     cfg = _config(p=300, n=300, l_list=(1, 2, 3, 4), distribution=dist, replications=200)
+    tracemalloc.start()
+    try:
+        sample_traces(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000, peak
+
+
+@pytest.mark.parametrize("p, n, l_list, reps", [
+    (2000, 4000, (1, 2, 3, 4), 100),
+    (2, 100, (160,), 1000),
+])
+def test_gaussian_memory_grows_with_bands_not_matrices(p, n, l_list, reps):
+    # one dense 2000 x 2000 matrix holds 32 MB; the bands of T and T^2 hold
+    # 5 p doubles per replication.  At p = 2 the bandwidth stops at 1, so the
+    # 80 halves of T^160 hold 4 doubles each, not 4 to 162: 2.6 MB, not 53 MB
+    cfg = _config(p=p, n=n, l_list=l_list, replications=reps)
     tracemalloc.start()
     try:
         sample_traces(cfg)
@@ -135,12 +169,14 @@ def test_rademacher_gram_is_the_float64_gram_of_the_same_bits():
 
 @pytest.mark.parametrize("p, n", [(1, 4), (3, 3), (4, 8), (50, 100)])
 def test_gaussian_draw_is_symmetric_tridiagonal(p, n):
-    tri = _whole_batch("gaussian", 7, 0, 200, p, n)
-    assert tri.shape == (200, p, p)
-    assert np.array_equal(tri, tri.transpose(0, 2, 1))
-    rows, cols = np.indices((p, p))
-    assert not tri[:, abs(rows - cols) > 1].any()
-    assert (np.diagonal(tri, axis1=1, axis2=2) > 0).all()
+    # the draw is the two bands of the dense tridiagonal of its chi-squares
+    batch = _open_batch("gaussian", 7, 0, 200, p, n)
+    diagonal, beside = _draw_batch("gaussian", batch, 0, 200, p, n)
+    assert diagonal.shape == (200, p) and beside.shape == (200, p - 1)
+    assert (diagonal > 0).all() and (beside >= 0).all()
+    tri = reference_tridiagonal(batch[1], p)
+    assert np.array_equal(diagonal, np.diagonal(tri, axis1=1, axis2=2))
+    assert np.array_equal(beside, np.diagonal(tri, offset=1, axis1=1, axis2=2))
 
 
 def _centred_products(x, y):
@@ -223,6 +259,25 @@ def test_paired_power_traces_match_explicit_powers(l_list):
                 np.testing.assert_allclose(traces[:, idx], want, rtol=1e-12, atol=0)
 
 
+# l_lists of 1..9, out of order, and one large power, whose bandwidth stops
+# at p - 1 = 1; 9 x 4 is drawn transposed and divided by 4
+BANDED_CASES = [
+    *((p, n, l_list) for p, n in ((1, 5), (2, 5), (3, 3), (4, 8), (7, 11), (50, 60), (9, 4))
+      for l_list in (tuple(range(1, 10)), (3, 1), (6, 1, 5))),
+    (2, 100, (160,)),
+]
+
+
+@pytest.mark.parametrize("p, n, l_list", BANDED_CASES)
+def test_banded_traces_match_explicit_powers(p, n, l_list):
+    cfg = _config(p=p, n=n, l_list=l_list, replications=200)
+    tri = _whole_batch("gaussian", 7, 0, 200, *sorted((p, n))) / n
+    want = np.stack(
+        [np.einsum("rii->r", np.linalg.matrix_power(tri, l)) for l in l_list], axis=1
+    )
+    np.testing.assert_allclose(sample_traces(cfg), want, rtol=1e-12, atol=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(p=st.integers(1, 6), n=st.integers(1, 6), max_l=st.integers(1, 5))
 def test_transposition_identity_is_exact(p, n, max_l):
@@ -265,6 +320,21 @@ def test_small_run_z_scores():
         assert stat.z is not None and abs(stat.z) <= 5
     for stat in report.covariances:
         assert stat.z is not None and abs(stat.z) <= 6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=st.integers(1, 6), n=st.integers(1, 6), max_l=st.integers(1, 3))
+def test_z_scores_against_the_oracle_property(p, n, max_l):
+    # every preset at one seed, scored against the exact oracle: the means
+    # within 5 standard errors, the covariances the oracle reaches within 6
+    for dist in DISTS:
+        cfg = _config(p=p, n=n, l_list=tuple(range(1, max_l + 1)), distribution=dist,
+                      replications=20000, rng_seed=2024)
+        report = simulate(cfg, oracle_references(cfg))
+        for stat in report.means:
+            assert stat.z is not None and abs(stat.z) <= 5, (dist, stat)
+        for stat in report.covariances:
+            assert stat.z is None or abs(stat.z) <= 6, (dist, stat)
 
 
 def test_jackknife_se_is_sane():
