@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -41,9 +42,16 @@ def _affine(x: AffineAlpha) -> dict:
     return {"c0": _frac(x.c0), "c1": _frac(x.c1)}
 
 
+def _rational(text: str, name: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad {name} {text!r}") from exc
+
+
 def _resolve_alpha(args) -> Fraction | None:
     if getattr(args, "alpha", None) is not None:
-        return Fraction(args.alpha)
+        return _rational(args.alpha, "fourth moment")
     if getattr(args, "dist", None) is not None:
         return preset_alpha(args.dist)
     return None
@@ -230,8 +238,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mp(args) -> int:
-    value = closedform.mp_moment(args.l, Fraction(args.y))
-    _emit({"op": "mp", "l": args.l, "y": _frac(Fraction(args.y)), "value": _frac(value)}, args)
+    y = _rational(args.y, "ratio")
+    value = closedform.mp_moment(args.l, y)
+    _emit({"op": "mp", "l": args.l, "y": _frac(y), "value": _frac(value)}, args)
     return 0
 
 
@@ -340,7 +349,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader of standard output is gone: exit 1 quietly, with the
+        # stream pointed at devnull so that the flush at shutdown cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

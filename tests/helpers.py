@@ -303,6 +303,16 @@ def reference_bartlett_gram(seed: int, batch_index: int, count: int, p: int, n: 
     return factor @ factor.transpose(0, 2, 1)
 
 
+def reference_chi2(seed: int, batch_index: int, count: int, p: int, n: int) -> np.ndarray:
+    """The count x (2p - 1) chi-squares of the gaussian Philox (seed,
+    batch_index) batch, p <= n, drawn in one `chisquare` call: n - i degrees
+    of freedom for B's diagonal, i = 0..p-1, then p - 1 - i below it."""
+    key = np.array([seed, batch_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
+    return gen.chisquare(dfs, size=(count, 2 * p - 1))
+
+
 def reference_tridiagonal(chi2: np.ndarray, p: int) -> np.ndarray:
     """The dense p x p tridiagonals B B^T of the beta = 1 Laguerre model from
     their count x (2p - 1) chi-squares: d_i^2 = chi2[:, i] on B's diagonal,
@@ -325,11 +335,10 @@ def _reference_whole_batch(
     drawn at once: the tridiagonal Laguerre model for gaussian, the float32
     Gram of packed sign bits for rademacher, the Gram of scaled doubles for
     uniform."""
+    if distribution == "gaussian":
+        return reference_tridiagonal(reference_chi2(seed, batch_index, count, p, n), p)
     key = np.array([seed, batch_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    if distribution == "gaussian":
-        dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
-        return reference_tridiagonal(gen.chisquare(dfs, size=(count, 2 * p - 1)), p)
     if distribution == "rademacher":
         packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
         dtype = np.float32 if n < 2**24 else np.float64

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +137,35 @@ def test_bad_moment_list_is_named(capsys):
     )
     assert status == 1 and out == ""
     assert err == "error: bad moment list '1,,1,0,3'\n"
+
+
+def test_bad_rationals_are_named(capsys):
+    for argv, message in [
+        (("mp", "--l", "2", "--y", "1/0"), "bad ratio '1/0'"),
+        (("mean-closed", "--l", "2", "--p", "2", "--n", "3", "--alpha", "x"),
+         "bad fourth moment 'x'"),
+        (("cov-closed", "--l1", "1", "--l2", "1", "--p", "2", "--n", "3", "--alpha", "9/0"),
+         "bad fourth moment '9/0'"),
+    ]:
+        status, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert status == 1 and out == "", argv
+        assert err == f"error: {message}\n"
+
+
+def test_closed_stdout_exits_one_quietly():
+    # the reader is gone before the command writes, as with `| head -c 10`
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tracemoments.cli", "verify", "--suite", "taylor"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_verify_rejects_max_l_below_one(capsys):
@@ -274,6 +308,30 @@ def test_out_of_memory_exits_one(capsys, monkeypatch):
         status, out, err = run_cli(capsys, *args)
         assert status == 1 and out == ""
         assert err.strip() == message and "Traceback" not in err
+
+
+def test_out_of_memory_in_a_helper_thread_exits_one(capsys, monkeypatch):
+    # the calling thread waits in its first chunk until a helper thread has
+    # failed, so the error is raised in a helper and reaches the CLI
+    monkeypatch.setattr(cli.montecarlo, "_usable_cores", lambda: 2)
+    failed = threading.Event()
+    draw = cli.montecarlo._draw_batch
+
+    def draw_or_fail(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=30)
+            return draw(*args)
+        failed.set()
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli.montecarlo, "_draw_batch", draw_or_fail)
+    status, out, err = run_cli(
+        capsys, "simulate", "--p", "2", "--n", "3", "--l", "1", "--reps", "3000",
+        "--dist", "gaussian", "--seed", "1", "--no-reference", "--no-timestamp",
+    )
+    assert status == 1 and out == ""
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
+    assert threading.active_count() == 1
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

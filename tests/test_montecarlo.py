@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import reference_bartlett_gram, reference_sample_traces, reference_tridiagonal
+from helpers import (
+    reference_bartlett_gram,
+    reference_chi2,
+    reference_sample_traces,
+    reference_tridiagonal,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +24,10 @@ from tracemoments.montecarlo import (
     BATCH_SIZE,
     ExactReferences,
     SimulationConfig,
+    _Buffers,
+    _batch_generator,
     _draw_batch,
     _jackknife_cov_se,
-    _open_batch,
     oracle_references,
     sample_traces,
     simulate,
@@ -58,11 +66,11 @@ SHAPES = ((2, 4), (3, 5), (5, 3))
 
 def _whole_batch(distribution, seed, batch_index, count, p, n):
     """Every matrix of one keyed batch, drawn as a single chunk; for gaussian,
-    the dense tridiagonals of its chi-squares."""
-    batch = _open_batch(distribution, seed, batch_index, count, p, n)
+    the dense tridiagonals of the batch's chi-squares, drawn in one call."""
     if distribution == "gaussian":
-        return reference_tridiagonal(batch[1], p)
-    return _draw_batch(distribution, batch, 0, count, p, n)
+        return reference_tridiagonal(reference_chi2(seed, batch_index, count, p, n), p)
+    buffers = _Buffers(distribution, p, n, 1, count)
+    return _draw_batch(distribution, _batch_generator(seed, batch_index), count, p, n, buffers)
 
 
 def test_bitwise_reproducibility():
@@ -146,6 +154,83 @@ def test_gaussian_memory_grows_with_bands_not_matrices(p, n, l_list, reps):
     assert peak <= 16_000_000, peak
 
 
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+
+
+# 1, 2, 3 and 49 batches, each run ending with a partial batch
+THREADED_CASES = ((3, 5, 1000), (5, 3, 2000), (3, 5, 3000), (4, 8, 49 * BATCH_SIZE - 500))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("p, n, reps", THREADED_CASES)
+@pytest.mark.parametrize("dist", DISTS)
+def test_threaded_traces_match_one_thread(dist, p, n, reps, workers, monkeypatch):
+    # more threads than cores, switching often: every batch must still land
+    # in its own rows, bit for bit
+    cfg = _config(p=p, n=n, l_list=(1, 2, 3, 4, 5), distribution=dist, replications=reps)
+    if dist == "gaussian":
+        _use_workers(monkeypatch, 1)
+        want = sample_traces(cfg)
+    else:
+        want = reference_sample_traces(cfg)
+    _use_workers(monkeypatch, workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_traces(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("reps", [5 * BATCH_SIZE - 300, 49 * BATCH_SIZE - 500])
+def test_non_finite_trace_is_named_in_batch_order(reps, workers, monkeypatch):
+    # tr(S^520) overflows in the first batch and tr(S^480) only in later ones:
+    # the first power named is that of the first batch, as one thread names
+    # it.  Every thread silences numpy's overflow warnings itself, which the
+    # band products of gaussian would raise.
+    _use_workers(monkeypatch, workers)
+    cfg = _config(p=2, n=3, l_list=(480, 520), distribution="uniform",
+                  replications=reps, rng_seed=0)
+    with pytest.raises(ValueError, match=r"^tr\(S\^520\) is not finite"):
+        reference_sample_traces(cfg)
+    with pytest.raises(ValueError, match=r"^tr\(S\^520\) is not finite"):
+        sample_traces(cfg)
+    with pytest.raises(ValueError, match=r"^tr\(S\^400\) is not finite"):
+        sample_traces(_config(p=2, n=3, l_list=(400,), replications=reps))
+
+
+def test_threads_that_cannot_start_leave_their_batches_to_the_others(monkeypatch):
+    class Unstartable(threading.Thread):
+        def start(self):
+            raise RuntimeError("can't start new thread")
+
+    cfg = _config(p=4, n=8, distribution="uniform", replications=5 * BATCH_SIZE)
+    _use_workers(monkeypatch, 3)
+    monkeypatch.setattr(threading, "Thread", Unstartable)
+    assert np.array_equal(sample_traces(cfg), reference_sample_traces(cfg))
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_threaded_memory_is_bounded(dist, monkeypatch):
+    # two threads, batches of 1024 and 924: whole batches of rademacher bytes
+    # at 2 x 40000 take 10 and 9 MB, so holding one per thread would break
+    # the bound
+    _use_workers(monkeypatch, 2)
+    cfg = _config(p=2, n=40000, l_list=(1, 2, 3, 4), distribution=dist,
+                  replications=2 * BATCH_SIZE - 100)
+    tracemalloc.start()
+    try:
+        sample_traces(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000, peak
+
+
 def test_uniform_draws_are_scaled_philox_doubles():
     # the uniform stream is sqrt(3) (2 U - 1), U the doubles of Philox (seed, batch)
     for p, n in ((3, 5), (4, 8)):
@@ -169,12 +254,17 @@ def test_rademacher_gram_is_the_float64_gram_of_the_same_bits():
 
 @pytest.mark.parametrize("p, n", [(1, 4), (3, 3), (4, 8), (50, 100)])
 def test_gaussian_draw_is_symmetric_tridiagonal(p, n):
-    # the draw is the two bands of the dense tridiagonal of its chi-squares
-    batch = _open_batch("gaussian", 7, 0, 200, p, n)
-    diagonal, beside = _draw_batch("gaussian", batch, 0, 200, p, n)
-    assert diagonal.shape == (200, p) and beside.shape == (200, p - 1)
+    # the draw, in two uneven chunks, is the two bands of the dense
+    # tridiagonal of the batch's chi-squares drawn in one chisquare call
+    gen = _batch_generator(7, 0)
+    buffers = _Buffers("gaussian", p, n, 1, 200)
+    chunks = [_draw_batch("gaussian", gen, count, p, n, buffers).copy() for count in (77, 123)]
+    bands = np.concatenate(chunks, axis=2)
+    assert bands.shape == (min(2, p), p, 200)
+    diagonal, beside = bands[0].T, bands[-1, 1:].T
     assert (diagonal > 0).all() and (beside >= 0).all()
-    tri = reference_tridiagonal(batch[1], p)
+    assert p == 1 or (bands[1, 0] == 0).all()
+    tri = reference_tridiagonal(reference_chi2(7, 0, 200, p, n), p)
     assert np.array_equal(diagonal, np.diagonal(tri, axis1=1, axis2=2))
     assert np.array_equal(beside, np.diagonal(tri, offset=1, axis1=1, axis2=2))
 
