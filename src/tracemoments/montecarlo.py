@@ -210,7 +210,7 @@ def _draw_batch(
       ceil(p n / 8) uniform bytes per draw.  `integers` with dtype uint8
       takes the bytes of 4-byte words and drops what is left of the last
       word at the end of each call, so a chunk continues the batch's stream
-      only when it starts at a multiple of 4 replications.  The Gram's
+      only when it starts at a multiple of 4 bytes.  The Gram's
       entries and sums are integers of size at most n, exact in float32
       while n < 2^24, so the product runs in float32 there.
     - uniform: the Gram X X^T of sqrt(3) (2 U - 1) per entry.
@@ -392,8 +392,8 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     reps = config.replications
     starts = range(0, reps, BATCH_SIZE)
     workers = min(len(starts), _usable_cores())
-    # rademacher chunks start at multiples of 4 replications (`_draw_batch`)
-    align = 4 if config.distribution == "rademacher" else 1
+    # a rademacher chunk starts on a 4-byte word of its batch's bytes (`_draw_batch`)
+    align = 4 // math.gcd(-(-p * n // 8), 4) if config.distribution == "rademacher" else 1
     edges = {
         count: _chunk_edges(count, widest, CHUNK_VALUES // workers, align)
         for count in (min(BATCH_SIZE, reps), reps - starts[-1])
