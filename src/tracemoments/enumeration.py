@@ -2,13 +2,17 @@
 
 A walk's weight depends only on the multiset of its reversed-adjacency
 exponents, so means and covariances alike count route pairs by exponent
-signature and weigh each signature once.  The signature depends only on which
-row positions and which column positions share a label, so the census runs
-over pairs of set partitions of the positions and counts each with the number
-of labelled route pairs it stands for.  The seed-class censuses trim labelled
-walks, whose label order matters, so they keep the labels and instead visit
-one route pair per rotation orbit, weighted by the orbit size.  Partial sums
-are exact rationals, so any reduction order gives identical results.
+signature.  The signature depends only on which row positions and which
+column positions share a label, so the census runs over pairs of set
+partitions of the positions and counts each with the number of labelled route
+pairs it stands for.  Since m_0 = 1, m_1 = 0 and m_2 = 1, a signature is a
+moment monomial, so every inner sum is an exact polynomial in the moments:
+evaluated with one weighing per monomial, or read off as an affine function
+of the fourth moment, with a check that no other monomial carries weight.
+The seed-class censuses trim labelled walks, whose label order matters, so
+they keep the labels and instead visit one route pair per rotation orbit,
+weighted by the orbit size.  Partial sums are exact rationals, so any
+reduction order gives identical results.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .graphs import (
 from .weights import (
     AffineAlpha,
     MomentSequence,
-    covariance_weight_of_exponents,
     weight_of_exponents,
 )
 
@@ -231,35 +234,54 @@ def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
     return census
 
 
+def _moment_polynomial(
+    lengths: tuple[int, ...], r: int, b: int
+) -> dict[tuple[int, ...], int]:
+    """The census of (lengths, r, b) as an exact polynomial {monomial: count}.
+
+    A monomial is the sorted tuple of its moment orders, () being 1.  A walk
+    stands for the monomial of its exponents, a double walk for that of its
+    joint exponents minus that of its two walks' exponents together.  Factors
+    m_2 = 1 are left out, and exponents with an m_1 = 0 stand for nothing.
+    """
+    polynomial: Counter = Counter()
+    for signature, count in signature_census(lengths, r, b).items():
+        if len(lengths) == 1:
+            terms = ((signature, count),)
+        else:
+            joint, first, second = signature
+            terms = ((joint, count), (tuple(sorted(first + second)), -count))
+        for exponents, c in terms:
+            if 1 not in exponents:
+                polynomial[tuple(e for e in exponents if e != 2)] += c
+    return {monomial: c for monomial, c in polynomial.items() if c}
+
+
 def _inner_sum(
     lengths: tuple[int, ...], r: int, b: int, moments: MomentSequence
 ) -> Fraction:
-    """Weighted census: walk weights for one walk, covariance weights for two."""
+    """The moment polynomial of (lengths, r, b) evaluated at the given moments."""
     order = 2 * sum(lengths)
     if moments.order < order:
         raise ValueError(f"moment sequence must cover order {order}")
-    single = len(lengths) == 1
     total = Fraction(0)
-    for signature, count in signature_census(lengths, r, b).items():
-        if single:
-            w = weight_of_exponents(signature, moments)
-        else:
-            w = covariance_weight_of_exponents(*signature, moments)
-        if w:
-            total += w * count
+    for monomial, count in _moment_polynomial(lengths, r, b).items():
+        total += count * weight_of_exponents(monomial, moments)
     return total
 
 
-def _affine(inner: Callable[[MomentSequence], Fraction], order: int) -> AffineAlpha:
-    """An inner sum as c0 + c1*alpha, read off at alpha = 0 and alpha = 1.
-
-    Valid when no walk reaches moments beyond the fourth; the formal moment
-    sequences used here are realised by no distribution.
-    """
-    zeros = [0] * (order - 4)
-    at0 = inner(MomentSequence([1, 0, 1, 0, 0] + zeros, warn_suspicious=False))
-    at1 = inner(MomentSequence([1, 0, 1, 0, 1] + zeros, warn_suspicious=False))
-    return AffineAlpha(at0, at1 - at0)
+def _affine_part(lengths: tuple[int, ...], r: int, b: int) -> AffineAlpha:
+    """The moment polynomial of (lengths, r, b) as c0 + c1*m4, checked to be one."""
+    polynomial = _moment_polynomial(lengths, r, b)
+    others = sorted(set(polynomial) - {(), (4,)})
+    if others:
+        named = ", ".join("*".join(f"m{e}" for e in monomial) for monomial in others)
+        raise ValueError(
+            f"inner sum at lengths={lengths}, r={r}, b={b} is not affine in the "
+            f"fourth moment: it carries {named}"
+        )
+    c0, c1 = polynomial.get((), 0), polynomial.get((4,), 0)
+    return AffineAlpha(Fraction(c0), Fraction(c1))
 
 
 def inner_weight_sum(l: int, r: int, b: int, moments: MomentSequence) -> Fraction:
@@ -268,14 +290,8 @@ def inner_weight_sum(l: int, r: int, b: int, moments: MomentSequence) -> Fractio
 
 
 def inner_weight_sum_affine(l: int, r: int, b: int) -> AffineAlpha:
-    """Inner weight sum as an exact affine function of the fourth moment.
-
-    Only meaningful for r >= l: walks on that many vertices never contribute
-    moments beyond the fourth, so two evaluations pin the affine form.
-    """
-    if r < l:
-        raise ValueError("affine extraction needs r >= l")
-    return _affine(lambda moments: inner_weight_sum(l, r, b, moments), 2 * l)
+    """Inner weight sum as c0 + c1*m4; ValueError if another monomial carries weight."""
+    return _affine_part((l,), r, b)
 
 
 def covariance_inner_sum(
@@ -286,10 +302,8 @@ def covariance_inner_sum(
 
 
 def covariance_inner_sum_affine(l1: int, l2: int, b: int) -> AffineAlpha:
-    """covariance_inner_sum as an exact affine function of the fourth moment."""
-    return _affine(
-        lambda moments: covariance_inner_sum(l1, l2, b, moments), 2 * (l1 + l2)
-    )
+    """covariance_inner_sum as c0 + c1*m4, checked like inner_weight_sum_affine."""
+    return _affine_part((l1, l2), l1 + l2, b)
 
 
 # ---------------------------------------------------------------------------

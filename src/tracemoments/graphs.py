@@ -503,7 +503,3 @@ def classify_seed_double(double: DoubleCircuitMultigraph) -> SeedClass:
     if double.balanced_leaves():
         raise ValueError(f"double graph {double!r} still has balanced leaves")
     return classify_leaf_free_double(double.first, double.second)
-
-
-def black_set_double(double: DoubleCircuitMultigraph) -> frozenset[int]:
-    return double.black_set

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import closedform, enumeration
 from .graphs import (
@@ -18,54 +18,47 @@ from .graphs import (
 )
 from .weights import AffineAlpha
 
+# a suite yields one list of failure messages per case
+_Cases = Iterator[list[str]]
 
-def _suite_taylor(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+
+def _suite_taylor(max_l: int, allow_large: bool) -> _Cases:
     for l in range(2, max_l + 1):
         for b in range(1, l):
-            cases += 1
-            if not closedform.taylor_identity_check(l, b):
-                failures.append(f"taylor identity fails at l={l}, b={b}")
-    return cases, failures
+            ok = closedform.taylor_identity_check(l, b)
+            yield [] if ok else [f"taylor identity fails at l={l}, b={b}"]
 
 
-def _suite_bs_mean(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+def _suite_bs_mean(max_l: int, allow_large: bool) -> _Cases:
     for l in range(1, max_l + 1):
         coeffs = closedform.bs_mean_coefficients(l)
         for j in range(0, l + 1):
-            cases += 1
             expected = Fraction(0)
             if 1 <= j <= l - 1:
                 expected = Fraction(closedform.binom(2 * l, 2 * j), 2) - Fraction(
                     closedform.binom(l, j) ** 2, 2
                 )
-            if coeffs[j] != expected:
-                failures.append(f"mean coefficient mismatch at l={l}, j={j}")
-    return cases, failures
+            ok = coeffs[j] == expected
+            yield [] if ok else [f"mean coefficient mismatch at l={l}, j={j}"]
 
 
-def _suite_bs_cov(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
+def _suite_bs_cov(max_l: int, allow_large: bool) -> _Cases:
     # the classical-limit row and Theorem 2's row are computed independently
-    cases, failures = 0, []
     for l1 in range(1, max_l + 1):
         for l2 in range(1, max_l + 1):
             bs_row = closedform.bs_cov_coefficients(l1, l2)
             c_row = closedform.C_coeffs(l1, l2)
             for b in range(1, l1 + l2 + 1):
-                cases += 1
-                if bs_row[b] * factorial(b) * factorial(l1 + l2 - b) != c_row[b]:
-                    failures.append(
-                        f"covariance coefficient mismatch at l1={l1}, l2={l2}, b={b}"
-                    )
-    return cases, failures
+                ok = bs_row[b] * factorial(b) * factorial(l1 + l2 - b) == c_row[b]
+                yield [] if ok else [
+                    f"covariance coefficient mismatch at l1={l1}, l2={l2}, b={b}"
+                ]
 
 
-def _suite_mean_coeffs(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+def _suite_mean_coeffs(max_l: int, allow_large: bool) -> _Cases:
     for l in range(1, max_l + 1):
         for b in range(1, l + 1):
-            cases += 1
+            failures = []
             got = enumeration.inner_weight_sum_affine(l, l, b)
             expected = AffineAlpha(
                 closedform.A_coeff(l, b) - 3 * closedform.B_coeff(l, b),
@@ -75,30 +68,22 @@ def _suite_mean_coeffs(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
                 failures.append(f"mean coefficient law fails at l={l}, b={b}")
             if b == l and got.evaluate(3) != l * factorial(l):
                 failures.append(f"all-black sum differs from l*l! at l={l}")
-    return cases, failures
+            yield failures
 
 
-def _suite_tree_counts(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+def _suite_tree_counts(max_l: int, allow_large: bool) -> _Cases:
     for l in range(1, max_l + 1):
         for b in range(1, l + 1):
-            cases += 1
             got = enumeration.inner_weight_sum_affine(l, l + 1, b)
-            expected = AffineAlpha.constant(closedform.count_colored_trees(l, b))
-            if got != expected:
-                failures.append(f"tree count law fails at l={l}, b={b}")
-    return cases, failures
+            ok = got == AffineAlpha.constant(closedform.count_colored_trees(l, b))
+            yield [] if ok else [f"tree count law fails at l={l}, b={b}"]
 
 
-def _suite_vanishing(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+def _suite_vanishing(max_l: int, allow_large: bool) -> _Cases:
     for l in range(2, max_l + 1):  # l = 1 cannot even host l + 2 labels
         for b in range(1, l + 1):
-            cases += 1
-            got = enumeration.inner_weight_sum_affine(l, l + 2, b)
-            if got != AffineAlpha():
-                failures.append(f"sum does not vanish at l={l}, r={l + 2}, b={b}")
-    return cases, failures
+            ok = enumeration.inner_weight_sum_affine(l, l + 2, b) == AffineAlpha()
+            yield [] if ok else [f"sum does not vanish at l={l}, r={l + 2}, b={b}"]
 
 
 _SPROUTING_SEEDS = {
@@ -108,10 +93,9 @@ _SPROUTING_SEEDS = {
 }
 
 
-def _suite_sprouting(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
+def _suite_sprouting(max_l: int, allow_large: bool) -> _Cases:
     max_l0 = min(max_l, 3)
     max_sprouts = 3 if allow_large or max_l >= 3 else 2
-    cases, failures = 0, []
     for l0, seeds in _SPROUTING_SEEDS.items():
         if l0 > max_l0:
             continue
@@ -121,14 +105,11 @@ def _suite_sprouting(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
                 blacks = set(range(101, 101 + b_prime))
                 whites = set(range(201, 201 + w_prime))
                 for seed in seeds:
-                    cases += 1
                     got = enumeration.census_sprouting(seed, blacks, whites)
-                    if got != expected:
-                        failures.append(
-                            f"sprouting census {got} != {expected} for seed {seed}, "
-                            f"b'={b_prime}, w'={w_prime}"
-                        )
-    return cases, failures
+                    yield [] if got == expected else [
+                        f"sprouting census {got} != {expected} for seed {seed}, "
+                        f"b'={b_prime}, w'={w_prime}"
+                    ]
 
 
 def _expected_ring_buckets(l: int, b: int) -> dict[SeedClass, int]:
@@ -155,8 +136,7 @@ def _expected_ring_buckets(l: int, b: int) -> dict[SeedClass, int]:
     return expected
 
 
-def _suite_ring_census(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+def _suite_ring_census(max_l: int, allow_large: bool) -> _Cases:
     for l in range(1, max_l + 1):
         for b in range(1, l + 1):
             census = enumeration.census_by_seed(l, b, allow_large=allow_large)
@@ -168,10 +148,8 @@ def _suite_ring_census(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
                 if cls.kind == KIND_TWO_D_RING
                 or (cls.kind == KIND_ONE_D_RING and (cls.ring_length or 0) % 2 == 0)
             }
-            cases += 1
-            if rings != _expected_ring_buckets(l, b):
-                failures.append(f"ring census mismatch at l={l}, b={b}")
-    return cases, failures
+            ok = rings == _expected_ring_buckets(l, b)
+            yield [] if ok else [f"ring census mismatch at l={l}, b={b}"]
 
 
 def _expected_double_buckets(
@@ -202,8 +180,7 @@ def _expected_double_buckets(
     return expected
 
 
-def _suite_double_census(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+def _suite_double_census(max_l: int, allow_large: bool) -> _Cases:
     for l1 in range(1, max_l):
         for l2 in range(1, max_l - l1 + 1):
             for b in range(1, l1 + l2 + 1):
@@ -213,31 +190,25 @@ def _suite_double_census(max_l: int, allow_large: bool) -> tuple[int, list[str]]
                     for key, count in census.items()
                     if key[0].ring_length is not None
                 }
-                cases += 1
-                if rings != _expected_double_buckets(l1, l2, b):
-                    failures.append(
-                        f"double census mismatch at l1={l1}, l2={l2}, b={b}"
-                    )
-    return cases, failures
+                ok = rings == _expected_double_buckets(l1, l2, b)
+                yield [] if ok else [
+                    f"double census mismatch at l1={l1}, l2={l2}, b={b}"
+                ]
 
 
-def _suite_cov_coeffs(max_l: int, allow_large: bool) -> tuple[int, list[str]]:
-    cases, failures = 0, []
+def _suite_cov_coeffs(max_l: int, allow_large: bool) -> _Cases:
     for l1 in range(1, max_l):
         for l2 in range(1, max_l - l1 + 1):
             c_row, d_row = closedform.C_coeffs(l1, l2), closedform.D_coeffs(l1, l2)
             for b in range(1, l1 + l2 + 1):
-                cases += 1
                 got = enumeration.covariance_inner_sum_affine(l1, l2, b)
                 c, d = c_row[b], d_row[b]
-                if got != AffineAlpha(Fraction(c - 3 * d), Fraction(d)):
-                    failures.append(
-                        f"covariance coefficient law fails at l1={l1}, l2={l2}, b={b}"
-                    )
-    return cases, failures
+                yield [] if got == AffineAlpha(Fraction(c - 3 * d), Fraction(d)) else [
+                    f"covariance coefficient law fails at l1={l1}, l2={l2}, b={b}"
+                ]
 
 
-_Suite = Callable[[int, bool], tuple[int, list[str]]]
+_Suite = Callable[[int, bool], _Cases]
 
 SUITES: dict[str, tuple[_Suite, int]] = {
     # name -> (runner, default max_l)
@@ -261,5 +232,8 @@ def run_suite(name: str, max_l: int | None = None, *, allow_large: bool = False)
     if max_l is not None and max_l < 1:
         raise ValueError(f"max_l must be positive, got {max_l}")
     runner, default_max = SUITES[name]
-    cases, failures = runner(max_l if max_l is not None else default_max, allow_large)
+    cases, failures = 0, []
+    for case_failures in runner(default_max if max_l is None else max_l, allow_large):
+        cases += 1
+        failures += case_failures
     return {"suite": name, "cases": cases, "failures": failures}

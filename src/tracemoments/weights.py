@@ -65,7 +65,7 @@ class AffineAlpha:
 class MomentSequence:
     """Exact moments m_0..m_K of a centred, unit-variance entry distribution."""
 
-    def __init__(self, moments: Iterable[Rational], *, warn_suspicious: bool = True):
+    def __init__(self, moments: Iterable[Rational]):
         values = tuple(Fraction(m) for m in moments)
         if len(values) < 3:
             raise ValueError("need at least m_0, m_1, m_2")
@@ -73,7 +73,7 @@ class MomentSequence:
             raise ValueError(
                 f"m_0, m_1, m_2 must be 1, 0, 1; got {values[0]}, {values[1]}, {values[2]}"
             )
-        if warn_suspicious and len(values) >= 5 and values[4] < 1:
+        if len(values) >= 5 and values[4] < 1:
             warnings.warn(
                 f"fourth moment {values[4]} is below 1, impossible for a real "
                 "unit-variance distribution",

@@ -1,6 +1,7 @@
 """Shared enumeration utilities for the tests: route spaces, Prufer trees, a
-route-pair reference for the signature census, a per-quadruple reference
-for the covariance oracle, rescanning trims with label-level seed-class
+route-pair reference for the signature census, inner sums weighed one
+signature at a time and their affine reading at two formal moment sequences,
+a per-quadruple reference for the covariance oracle, rescanning trims with label-level seed-class
 censuses that visit every route pair, per-b references for the
 closed-form covariance coefficients, the Bartlett Wishart sampler, and the
 whole-batch Monte Carlo trace loop."""
@@ -8,6 +9,7 @@ whole-batch Monte Carlo trace loop."""
 from __future__ import annotations
 
 import heapq
+import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -17,7 +19,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from tracemoments.closedform import binom
-from tracemoments.enumeration import iter_route_pairs
+from tracemoments.enumeration import iter_route_pairs, signature_census
 from tracemoments.graphs import (
     balanced_leaf_labels,
     build_double_graph,
@@ -27,7 +29,13 @@ from tracemoments.graphs import (
     zip_routes,
 )
 from tracemoments.montecarlo import BATCH_SIZE
-from tracemoments.weights import covariance_weight
+from tracemoments.weights import (
+    AffineAlpha,
+    MomentSequence,
+    covariance_weight,
+    covariance_weight_of_exponents,
+    weight_of_exponents,
+)
 
 
 def canonical_patterns(length: int, blocks: int | None = None):
@@ -125,6 +133,33 @@ def reference_signature_census(lengths: tuple[int, ...], r: int, b: int) -> Coun
             tuple(sorted(second.values())),
         )] += 1
     return census
+
+
+def reference_inner_sum(lengths: tuple[int, ...], r: int, b: int, moments) -> Fraction:
+    """The oracle's inner sum with every census signature weighed on its own:
+    walk weights for one walk, covariance weights for two."""
+    total = Fraction(0)
+    for signature, count in signature_census(lengths, r, b).items():
+        if len(lengths) == 1:
+            total += count * weight_of_exponents(signature, moments)
+        else:
+            total += count * covariance_weight_of_exponents(*signature, moments)
+    return total
+
+
+def reference_affine(lengths: tuple[int, ...], r: int, b: int) -> AffineAlpha:
+    """reference_inner_sum as c0 + c1*alpha, read off at alpha = 0 and 1.
+
+    The two moment sequences, [1, 0, 1, 0, alpha, 0, ...], belong to no
+    distribution, and the reading is right only where no moment other than
+    the fourth carries weight.
+    """
+    zeros = [0] * (2 * sum(lengths) - 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a fourth moment of 0
+        at0 = reference_inner_sum(lengths, r, b, MomentSequence([1, 0, 1, 0, 0] + zeros))
+    at1 = reference_inner_sum(lengths, r, b, MomentSequence([1, 0, 1, 0, 1] + zeros))
+    return AffineAlpha(at0, at1 - at0)
 
 
 @lru_cache(maxsize=None)

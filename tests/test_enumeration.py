@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -12,13 +13,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     double_bucket,
+    reference_affine,
     reference_census_by_seed,
     reference_census_double,
+    reference_inner_sum,
     reference_signature_census,
     reference_trace_covariance,
     split_route_pairs,
     surjective_routes,
 )
+from tracemoments import enumeration
 from tracemoments.closedform import (
     A_coeff,
     B_coeff,
@@ -36,6 +40,8 @@ from tracemoments.enumeration import (
     census_double,
     census_sprouting,
     clear_caches,
+    covariance_inner_sum,
+    covariance_inner_sum_affine,
     exact_trace_covariance,
     exact_trace_moment,
     inner_weight_sum,
@@ -60,6 +66,7 @@ from tracemoments.weights import (
 )
 
 GAUSSIAN_8 = preset_moments("gaussian", 8)
+SKEWED_8 = MomentSequence.parse("1,0,1,1,3,2,15,5,105")
 
 
 def test_iter_route_pairs_examples():
@@ -153,6 +160,56 @@ def test_vanishing_small(l):
         assert inner_weight_sum_affine(l, l + 2, b) == AffineAlpha()
 
 
+def test_affine_reading_below_l_vertices():
+    # one vertex of each colour: the walk crosses its edge four times
+    assert inner_weight_sum_affine(2, 1, 1) == AffineAlpha(Fraction(0), Fraction(1))
+    # (3, 2, 1) is m6 + 6 m4, which no affine form can hold
+    assert enumeration._moment_polynomial((3,), 2, 1) == {(6,): 1, (4,): 6}
+    with pytest.raises(ValueError, match=r"carries m6$"):
+        inner_weight_sum_affine(3, 2, 1)
+
+
+def test_covariance_affine_reading_rejects_higher_moments(monkeypatch):
+    # a joint signature of one m6 edge, against first and second walks of m2 and m4
+    census = Counter({((6,), (2,), (4,)): 1})
+    monkeypatch.setattr(enumeration, "signature_census", lambda *key: census)
+    with pytest.raises(ValueError, match=r"lengths=\(1, 1\), r=2, b=1 .* carries m6$"):
+        covariance_inner_sum_affine(1, 1, 1)
+
+
+def test_affine_readings_match_the_formal_sequence_reference():
+    # every (l, r, b) of the mean-coeffs, tree-counts and vanishing suites and
+    # every (l1, l2, b) of cov-coeffs, at their default max_l of 4
+    for l in range(1, 5):
+        for r in (l, l + 1, l + 2):
+            for b in range(1, l + 1):
+                if r <= 2 * l:
+                    assert inner_weight_sum_affine(l, r, b) == reference_affine(
+                        (l,), r, b
+                    ), (l, r, b)
+    for l1 in range(1, 4):
+        for l2 in range(1, 5 - l1):
+            for b in range(1, l1 + l2 + 1):
+                got = covariance_inner_sum_affine(l1, l2, b)
+                assert got == reference_affine((l1, l2), l1 + l2, b), (l1, l2, b)
+                assert covariance_inner_sum(l1, l2, b, GAUSSIAN_8) == got.evaluate(3)
+
+
+def test_inner_sums_match_the_per_signature_reference():
+    presets = [preset_moments(name, 8) for name in ("gaussian", "rademacher", "uniform")]
+    for total in range(1, 5):
+        for lengths in [(total,)] + [(l1, total - l1) for l1 in range(1, total)]:
+            for r in range(1, 2 * total + 1):
+                for b in range(1, min(total, r) + 1):
+                    for moments in presets + [SKEWED_8]:
+                        if len(lengths) == 1:
+                            got = inner_weight_sum(total, r, b, moments)
+                        else:
+                            got = enumeration._inner_sum(lengths, r, b, moments)
+                        expected = reference_inner_sum(lengths, r, b, moments)
+                        assert got == expected, (lengths, r, b, moments)
+
+
 def test_exact_trace_moment_examples():
     for moments in (GAUSSIAN_8, preset_moments("uniform", 8)):
         for p, n in [(1, 1), (2, 3), (3, 4)]:
@@ -207,9 +264,6 @@ def test_exact_trace_covariance_no_support_beyond_vertex_budget():
                     double = build_double_graph(zip_routes(i, k), zip_routes(j, m))
                     total += covariance_weight(double, moments)
                 assert total == 0, (l1, l2, r, b)
-
-
-SKEWED_8 = MomentSequence.parse("1,0,1,1,3,2,15,5,105")
 
 
 @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)])

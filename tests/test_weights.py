@@ -54,8 +54,11 @@ def test_moment_sequence_validation():
 
 
 def test_moment_sequence_warns_on_impossible_fourth_moment():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="fourth moment 1/2 is below 1"):
         MomentSequence([1, 0, 1, 0, Fraction(1, 2)])
+    # the warning cannot be switched off: the sequence takes no options
+    with pytest.raises(TypeError):
+        MomentSequence([1, 0, 1, 0, 0], warn_suspicious=False)
 
 
 def test_presets():
