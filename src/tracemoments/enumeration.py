@@ -3,9 +3,11 @@
 A walk's weight depends only on the multiset of its reversed-adjacency
 exponents, so means and covariances alike count route pairs by exponent
 signature.  The signature depends only on which row positions and which
-column positions share a label, so the census runs over pairs of set
-partitions of the positions and counts each with the number of labelled route
-pairs it stands for.  Since m_0 = 1, m_1 = 0 and m_2 = 1, a signature is a
+column positions share a label, so the census runs over pairs (pi, sigma) of
+set partitions of the positions.  Each pair is visited once, in a block
+memoized per (lengths, |pi|, |sigma|), and each vertex count r merges the
+blocks it admits, weighted by the number of labelled route pairs a pair
+stands for.  Since m_0 = 1, m_1 = 0 and m_2 = 1, a signature is a
 moment monomial, so every inner sum is an exact polynomial in the moments:
 evaluated with one weighing per monomial, or read off as an affine function
 of the fourth moment, with a check that no other monomial carries weight.
@@ -71,19 +73,11 @@ def _check_guard(value: int, limit: int, allow_large: bool, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _surjections(length: int, onto: int) -> tuple[Route, ...]:
-    """All tuples in [onto]^length whose value set is exactly [onto]."""
-    full = set(range(1, onto + 1))
-    return tuple(
-        t
-        for t in itertools.product(range(1, onto + 1), repeat=length)
-        if set(t) == full
-    )
-
-
-@lru_cache(maxsize=None)
 def _covering_tuples(length: int, r: int, b: int) -> tuple[Route, ...]:
-    """All tuples in [r]^length containing every label in {b+1..r}."""
+    """All tuples in [r]^length containing every label in {b+1..r}.
+
+    With b = 0 these are the surjections onto [r].
+    """
     needed = set(range(b + 1, r + 1))
     if len(needed) > length:
         return ()
@@ -107,7 +101,7 @@ def iter_route_pairs(l: int, r: int, b: int) -> Iterator[tuple[Route, Route]]:
     """Pairs (i, k): i covers [b] exactly, k lives in [r] and covers [r]\\[b]."""
     _validate_pair_params(l, r, b)
     ks = _covering_tuples(l, r, b)
-    for i in _surjections(l, b):
+    for i in _covering_tuples(l, b, 0):
         for k in ks:
             yield i, k
 
@@ -122,7 +116,7 @@ def _rotation_orbits(lengths: tuple[int, ...], b: int) -> tuple[tuple[Route, int
     """
     seen: set[Route] = set()
     orbits: list[tuple[Route, int]] = []
-    for t in _surjections(sum(lengths), b):
+    for t in _covering_tuples(sum(lengths), b, 0):
         if t in seen:
             continue
         rotations = []
@@ -155,17 +149,17 @@ def _walk_counts(i: Route, k: Route) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _set_partitions(length: int) -> tuple[tuple[Route, int], ...]:
+def _set_partitions(length: int) -> tuple[tuple[Route, ...], ...]:
     """Set partitions of `length` positions as restricted growth strings.
 
-    Each string labels its blocks 1, 2, ... in order of first occurrence and
-    comes with its block count.
+    Each string labels its blocks 1, 2, ... in order of first occurrence;
+    entry s holds the strings with s blocks.
     """
-    strings: list[tuple[Route, int]] = []
+    by_blocks: list[list[Route]] = [[] for _ in range(length + 1)]
 
     def grow(prefix: list[int], blocks: int) -> None:
         if len(prefix) == length:
-            strings.append((tuple(prefix), blocks))
+            by_blocks[blocks].append(tuple(prefix))
             return
         for v in range(1, blocks + 2):
             prefix.append(v)
@@ -173,10 +167,35 @@ def _set_partitions(length: int) -> tuple[tuple[Route, int], ...]:
             prefix.pop()
 
     grow([], 0)
-    return tuple(strings)
+    return tuple(tuple(strings) for strings in by_blocks)
 
 
-_SIGNATURE_CACHE: dict[tuple[tuple[int, ...], int, int], Counter] = {}
+@lru_cache(maxsize=None)
+def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
+    """Partition pairs (pi, sigma) with |pi| = b and |sigma| = s, by signature."""
+    partitions = _set_partitions(sum(lengths))
+    rows, columns = partitions[b], partitions[s]
+    block: Counter = Counter()
+    if len(lengths) == 1:
+        for k in columns:
+            for i in rows:
+                block[tuple(sorted(_walk_counts(i, k).values()))] += 1
+    else:
+        l1 = lengths[0]
+        for km in columns:
+            k, m = km[:l1], km[l1:]
+            for ij in rows:
+                first = _walk_counts(ij[:l1], k)
+                second = _walk_counts(ij[l1:], m)
+                joint = dict(first)
+                for edge, c in second.items():
+                    joint[edge] = joint.get(edge, 0) + c
+                block[(
+                    tuple(sorted(joint.values())),
+                    tuple(sorted(first.values())),
+                    tuple(sorted(second.values())),
+                )] += 1
+    return block
 
 
 def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
@@ -192,45 +211,19 @@ def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
     of set partitions of the positions.  With |pi| = b and |sigma| = s, a
     pair stands for b! (s)_{r-b} (b)_{s-r+b} route pairs: i labels pi's
     blocks with [b] in any order, and k gives the r-b labels of [r]\\[b] to
-    distinct blocks of sigma and distinct labels of [b] to the rest.
+    distinct blocks of sigma and distinct labels of [b] to the rest.  The
+    pairs are counted once per (lengths, b, s), in memoized blocks that every
+    r with r - b <= s <= r merges with its own multiplicity.
     """
     if len(lengths) not in (1, 2):
         raise ValueError(f"need one or two walk lengths, got {lengths}")
-    key = (lengths, r, b)
-    cached = _SIGNATURE_CACHE.get(key)
-    if cached is not None:
-        return cached
     total = sum(lengths)
     _validate_pair_params(total, r, b)
-    partitions = _set_partitions(total)
-    rows = [pi for pi, blocks in partitions if blocks == b]
-    labelled_rows = factorial(b)
-    columns = [
-        (sigma, labelled_rows * perm(s, r - b) * perm(b, s - r + b))
-        for sigma, s in partitions
-        if r - b <= s <= r
-    ]
     census: Counter = Counter()
-    if len(lengths) == 1:
-        for k, multiplicity in columns:
-            for i in rows:
-                census[tuple(sorted(_walk_counts(i, k).values()))] += multiplicity
-    else:
-        l1 = lengths[0]
-        for km, multiplicity in columns:
-            k, m = km[:l1], km[l1:]
-            for ij in rows:
-                first = _walk_counts(ij[:l1], k)
-                second = _walk_counts(ij[l1:], m)
-                joint = dict(first)
-                for edge, c in second.items():
-                    joint[edge] = joint.get(edge, 0) + c
-                census[(
-                    tuple(sorted(joint.values())),
-                    tuple(sorted(first.values())),
-                    tuple(sorted(second.values())),
-                )] += multiplicity
-    _SIGNATURE_CACHE[key] = census
+    for s in range(max(r - b, 1), min(r, total) + 1):
+        multiplicity = factorial(b) * perm(s, r - b) * perm(b, s - r + b)
+        for signature, count in _census_block(lengths, b, s).items():
+            census[signature] += multiplicity * count
     return census
 
 
@@ -574,8 +567,7 @@ def census_sprouting(
 
 def clear_caches() -> None:
     """Drop memoized enumerations (mostly useful in long-lived sessions)."""
-    _SIGNATURE_CACHE.clear()
+    _census_block.cache_clear()
     _set_partitions.cache_clear()
     _rotation_orbits.cache_clear()
-    _surjections.cache_clear()
     _covering_tuples.cache_clear()

@@ -498,21 +498,14 @@ def simulate(
 
 
 def oracle_references(
-    config: SimulationConfig,
-    *,
-    cov_pairs: tuple[tuple[int, int], ...] | None = None,
-    allow_large: bool = False,
+    config: SimulationConfig, *, allow_large: bool = False
 ) -> ExactReferences:
     """Exact references for a simulation, computed by the enumeration oracle.
 
-    Covariance references default to every pair of configured powers that fits
-    the oracle's cost guard; pass cov_pairs to pin the selection explicitly.
+    Covariance references cover every pair of configured powers that passes
+    the oracle's cost guard.
     """
-    from .enumeration import (
-        COVARIANCE_POWER_LIMIT,
-        exact_trace_covariance,
-        exact_trace_moment,
-    )
+    from .enumeration import CostGuardError, exact_trace_covariance, exact_trace_moment
 
     max_l = max(config.l_list)
     means: dict[int, Fraction] = {}
@@ -521,18 +514,14 @@ def oracle_references(
         means[l] = exact_trace_moment(
             l, config.p, config.n, mean_moments, allow_large=allow_large
         ).value
-    if cov_pairs is None:
-        limit = COVARIANCE_POWER_LIMIT + (1 if allow_large else 0)
-        cov_pairs = tuple(
-            (config.l_list[a], config.l_list[b])
-            for a in range(len(config.l_list))
-            for b in range(a, len(config.l_list))
-            if config.l_list[a] + config.l_list[b] <= limit
-        )
     covs: dict[tuple[int, int], Fraction] = {}
-    for l1, l2 in cov_pairs:
-        cov_moments = preset_moments(config.distribution, 2 * (l1 + l2))
-        covs[(l1, l2)] = exact_trace_covariance(
-            l1, l2, config.p, config.n, cov_moments, allow_large=allow_large
-        )
+    for a, l1 in enumerate(config.l_list):
+        for l2 in config.l_list[a:]:
+            cov_moments = preset_moments(config.distribution, 2 * (l1 + l2))
+            try:
+                covs[(l1, l2)] = exact_trace_covariance(
+                    l1, l2, config.p, config.n, cov_moments, allow_large=allow_large
+                )
+            except CostGuardError:
+                pass
     return ExactReferences(means, covs)

@@ -30,10 +30,11 @@ from tracemoments.closedform import (
     count_double_ring_sprouts,
     count_ring_sprouts,
     count_sprouting,
+    theorem1_mean,
 )
 from tracemoments.enumeration import (
     CostGuardError,
-    _SIGNATURE_CACHE,
+    _census_block,
     _rotation_orbits,
     _set_partitions,
     census_by_seed,
@@ -62,6 +63,7 @@ from tracemoments.weights import (
     AffineAlpha,
     MomentSequence,
     covariance_weight,
+    preset_alpha,
     preset_moments,
 )
 
@@ -342,6 +344,24 @@ def test_transposition_identity_of_the_oracle_property(dist, l, p, n):
         assert lhs == rhs, (l1, l2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dist=st.sampled_from(("gaussian", "rademacher", "uniform")),
+    l=st.integers(1, 4),
+    shape=st.integers(1, 8).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
+)
+def test_oracle_leading_orders_match_theorem1_property(dist, l, shape):
+    # the oracle's terms on l and l + 1 vertices are Theorem 1's expansion;
+    # no walk reaches l + 2 vertices
+    p, n = shape
+    result = exact_trace_moment(l, p, n, preset_moments(dist, 2 * l + 2))
+    assert all(term.r <= l + 1 for term in result.terms)
+    leading = sum(
+        term.multiplicity * term.inner_sum for term in result.terms if term.r >= l
+    ) / Fraction(n**l)
+    assert leading == theorem1_mean(l, p, n)[0].evaluate(preset_alpha(dist))
+
+
 def test_cost_guards():
     with pytest.raises(CostGuardError):
         exact_trace_moment(5, 1, 2, preset_moments("gaussian", 10))
@@ -382,22 +402,51 @@ def test_signature_census_matches_route_pair_reference(keys):
         assert signature_census(*key) == reference_signature_census(*key), key
 
 
-def test_covariance_census_is_cached_per_lengths_r_b():
+def test_census_blocks_are_memoized_per_lengths_b_s():
     clear_caches()
     census = signature_census((2, 1), 3, 2)
     assert _set_partitions.cache_info().currsize == 1
     assert sum(census.values()) == len(list(split_route_pairs(2, 1, 3, 2)))
-    assert signature_census((2, 1), 3, 2) is census
-    # the split point, r and b are all part of the key
-    for key in [((1, 2), 3, 2), ((2, 1), 4, 2), ((2, 1), 3, 1), ((3,), 3, 2)]:
-        assert signature_census(*key) is not census
-    assert set(_SIGNATURE_CACHE) == {
-        ((2, 1), 3, 2), ((1, 2), 3, 2), ((2, 1), 4, 2), ((2, 1), 3, 1), ((3,), 3, 2)
-    }
+    # r = 3, b = 2 merges the blocks s = 1, 2, 3 of (2, 1); each block holds
+    # every pair (pi, sigma) with |pi| = 2 and |sigma| = s once
+    assert _census_block.cache_info().currsize == 3
+    for s in (1, 2, 3):
+        block = _census_block((2, 1), 2, s)
+        assert sum(block.values()) == len(_set_partitions(3)[2]) * len(
+            _set_partitions(3)[s]
+        )
+    # a second r for the same (lengths, b) reuses the blocks s = 2, 3 it admits
+    hits = _census_block.cache_info().hits
+    signature_census((2, 1), 4, 2)
+    assert _census_block.cache_info().currsize == 3
+    assert _census_block.cache_info().hits == hits + 2
+    # the split point is part of the key, and so are b and s
+    _census_block((1, 2), 2, 2)
+    assert _census_block.cache_info().currsize == 4
+    signature_census((2, 1), 3, 1)
+    assert _census_block.cache_info().currsize == 6
+    signature_census((3,), 3, 2)
+    assert _census_block.cache_info().currsize == 9
     clear_caches()
-    assert not _SIGNATURE_CACHE
+    assert _census_block.cache_info().currsize == 0
     # the partition strings go too, so the next census starts cold
     assert _set_partitions.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("l", [4, 5])
+def test_exact_trace_moment_visits_each_partition_pair_once(l, monkeypatch):
+    walk_counts = enumeration._walk_counts
+    calls = []
+
+    def counted(i, k):
+        calls.append(1)
+        return walk_counts(i, k)
+
+    monkeypatch.setattr(enumeration, "_walk_counts", counted)
+    clear_caches()
+    exact_trace_moment(l, 50, 100, preset_moments("gaussian", 2 * l), allow_large=True)
+    bell = {4: 15, 5: 52}[l]
+    assert len(calls) == bell**2
 
 
 @pytest.mark.parametrize(
