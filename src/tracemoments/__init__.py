@@ -51,8 +51,6 @@ from .graphs import (
     SeedClass,
     build_double_graph,
     build_graph,
-    classify_seed,
-    classify_seed_double,
     compact_labels,
     format_route,
     parse_route,

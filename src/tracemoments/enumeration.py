@@ -13,8 +13,10 @@ evaluated with one weighing per monomial, or read off as an affine function
 of the fourth moment, with a check that no other monomial carries weight.
 The seed-class censuses trim labelled walks, whose label order matters, so
 they keep the labels and instead visit one route pair per rotation orbit,
-weighted by the orbit size.  Partial sums are exact rationals, so any
-reduction order gives identical results.
+weighted by the orbit size.  The labels two walks share never change while
+the double walk trims, so the double census trims each side once per
+(walk, shared labels) and joins the two sides' results.  Partial sums are
+exact rationals, so any reduction order gives identical results.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from math import comb, factorial, perm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
+    DOUBLE_OTHER_SEED,
     Route,
     SeedClass,
     balanced_leaf_labels,
@@ -35,8 +38,10 @@ from .graphs import (
     classify_leaf_free_double,
     classify_leaf_free_route,
     compact_labels,
+    leaf_scan,
     route_edges,
-    trim_double,
+    trim_double,  # not called here; perfbench/tracing.py wraps it by this name
+    trim_holding,
     trim_route,
     zip_routes,
 )
@@ -403,6 +408,69 @@ def census_by_seed(
 DoubleBucket = tuple[SeedClass, tuple[int, int, int, int]]
 
 
+def _label_mask(route: Route) -> int:
+    """The labels of a route as a bitmask: bit v is set when v is visited."""
+    mask = 0
+    for v in route:
+        mask |= 1 << v
+    return mask
+
+
+class _SideTable:
+    """One walk of a double walk zipped with every distinct k, trimmed on demand.
+
+    By the lemma behind trim_double, a walk trims on its own once the labels
+    it shares with the other walk are held, so its result depends only on
+    its row and the shared-label mask, and not even on the mask when the
+    walk has no balanced leaf.  `result(row, key)` computes the result for
+    `key = shared & keys[row]`, memoizes it in `memo[row]` and returns its
+    index into `results`.  A result is (ring seed, black sprouts, white
+    sprouts), where the ring seed is None when the seed repeats a label: no
+    double ring has such a walk, so only the sprout counts matter then.
+    """
+
+    def __init__(self, i: Route, ks: Sequence[Route], blacks: int):
+        self.routes = [zip_routes(i, k) for k in ks]
+        self.masks = [_label_mask(route) for route in self.routes]
+        self.scans: list[tuple[dict[int, int], tuple[int, ...]] | None] = []
+        self.keys: list[int] = []
+        self.memo: list[dict[int, int]] = []
+        self.results: list[tuple[Route | None, int, int]] = []
+        self._indexes: dict[tuple[Route | None, int, int], int] = {}
+        self._blacks = blacks
+        for route, mask in zip(self.routes, self.masks):
+            scan = leaf_scan(route)
+            if scan[1]:
+                self.scans.append(scan)
+                self.keys.append(mask)
+                self.memo.append({})
+            else:
+                self.scans.append(None)
+                self.keys.append(0)
+                self.memo.append({0: self._index(route, mask, 0)})
+
+    def _index(self, seed: Route, seed_mask: int, sprouts: int) -> int:
+        result = (
+            seed if len(seed) == seed_mask.bit_count() else None,
+            (sprouts & self._blacks).bit_count(),
+            (sprouts & ~self._blacks).bit_count(),
+        )
+        index = self._indexes.setdefault(result, len(self.results))
+        if index == len(self.results):
+            self.results.append(result)
+        return index
+
+    def result(self, row: int, key: int) -> int:
+        route = self.routes[row]
+        held = {v for v in route if key >> v & 1}
+        seed = trim_holding(route, held, self.scans[row])
+        seed_mask = _label_mask(seed)
+        index = self.memo[row][key] = self._index(
+            seed, seed_mask, self.masks[row] & ~seed_mask
+        )
+        return index
+
+
 def census_double(
     l1: int, l2: int, b: int, *, allow_large: bool = False
 ) -> dict[DoubleBucket, int]:
@@ -414,6 +482,12 @@ def census_double(
     iter_route_pairs(l1+l2, l1+l2, b) split after l1.  Rotating (i, k), or
     (j, m), by one step keeps the bucket, so as in census_by_seed each orbit
     of (i, j) under independent rotations of i and j is visited once.
+
+    Trimming never changes the labels the two walks share, so each walk
+    trims on its own with them held.  Per orbit, each side keeps a table of
+    its walks, one per distinct k (or m), and trims a walk once per shared
+    label set.  The quadruples are counted by the pair of side results, and
+    each pair of distinct ring seeds is classified once per call.
     """
     if l1 < 1 or l2 < 1:
         raise ValueError(f"l1 and l2 must be positive, got {(l1, l2)}")
@@ -421,24 +495,46 @@ def census_double(
         raise ValueError(f"need 1 <= b <= l1+l2, got b={b}")
     _check_guard(l1 + l2, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
     r = l1 + l2
-    split_ks = [(km[:l1], km[l1:]) for km in _covering_tuples(r, r, b)]
-    blacks = frozenset(range(1, b + 1))
+    firsts: dict[Route, int] = {}
+    seconds: dict[Route, int] = {}
+    rows1: list[int] = []
+    rows2: list[int] = []
+    for km in _covering_tuples(r, r, b):
+        rows1.append(firsts.setdefault(km[:l1], len(firsts)))
+        rows2.append(seconds.setdefault(km[l1:], len(seconds)))
+    ks, ms = tuple(firsts), tuple(seconds)
+    blacks = _label_mask(tuple(range(1, b + 1)))
+    classes: dict[tuple[Route, Route], SeedClass] = {}
     buckets: dict[DoubleBucket, int] = {}
     for ij, orbit_size in _rotation_orbits((l1, l2), b):
-        i, j = ij[:l1], ij[l1:]
-        for k, m in split_ks:
-            first = zip_routes(i, k)
-            second = zip_routes(j, m)
-            seed1, seed2 = trim_double(first, second)
-            seed_class = classify_leaf_free_double(seed1, seed2)
-            split = (
-                len((set(first) & blacks) - set(seed1)),
-                len((set(second) & blacks) - set(seed2)),
-                len((set(first) - blacks) - set(seed1)),
-                len((set(second) - blacks) - set(seed2)),
-            )
-            key = (seed_class, split)
-            buckets[key] = buckets.get(key, 0) + orbit_size
+        side1 = _SideTable(ij[:l1], ks, blacks)
+        side2 = _SideTable(ij[l1:], ms, blacks)
+        masks1, keys1, memo1 = side1.masks, side1.keys, side1.memo
+        masks2, keys2, memo2 = side2.masks, side2.keys, side2.memo
+        joined: Counter = Counter()
+        for row1, row2 in zip(rows1, rows2):
+            shared = masks1[row1] & masks2[row2]
+            key1, key2 = shared & keys1[row1], shared & keys2[row2]
+            result1 = memo1[row1].get(key1)
+            if result1 is None:
+                result1 = side1.result(row1, key1)
+            result2 = memo2[row2].get(key2)
+            if result2 is None:
+                result2 = side2.result(row2, key2)
+            joined[result1, result2] += 1
+        for (result1, result2), count in joined.items():
+            ring1, black1, white1 = side1.results[result1]
+            ring2, black2, white2 = side2.results[result2]
+            if ring1 is None or ring2 is None:
+                seed_class = DOUBLE_OTHER_SEED
+            else:
+                seed_class = classes.get((ring1, ring2))
+                if seed_class is None:
+                    seed_class = classes[ring1, ring2] = classify_leaf_free_double(
+                        ring1, ring2
+                    )
+            key = (seed_class, (black1, black2, white1, white2))
+            buckets[key] = buckets.get(key, 0) + orbit_size * count
     return buckets
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Collection, Sequence
 
 Route = tuple[int, ...]
 
@@ -142,12 +142,12 @@ def black_labels(route: Sequence[int]) -> frozenset[int]:
 # balanced leaves and trimming (raw-route helpers, original labels kept)
 
 
-def _leaf_scan(route: Sequence[int]) -> tuple[dict[int, int], list[int]]:
-    """Label counts of a route and its balanced leaves."""
+def leaf_scan(route: Sequence[int]) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Label counts of a route and its balanced leaves, in first-visit order."""
     counts: dict[int, int] = {}
     for v in route:
         counts[v] = counts.get(v, 0) + 1
-    return counts, [v for v in counts if _is_leaf(route, counts, v)]
+    return counts, tuple(v for v in counts if _is_leaf(route, counts, v))
 
 
 def _is_leaf(route: Sequence[int], counts: dict[int, int], v: int) -> bool:
@@ -160,7 +160,7 @@ def _is_leaf(route: Sequence[int], counts: dict[int, int], v: int) -> bool:
 
 def balanced_leaf_labels(route: Sequence[int]) -> tuple[int, ...]:
     """Balanced leaves in increasing label order; none when the walk has <= 2 steps."""
-    return tuple(sorted(_leaf_scan(route)[1]))
+    return tuple(sorted(leaf_scan(route)[1]))
 
 
 def remove_leaf_from_route(route: Sequence[int], leaf: int) -> Route:
@@ -195,23 +195,35 @@ def _drop_leaf(route: list[int], leaf: int) -> int:
     return neighbour
 
 
-def trim_route(route: Sequence[int]) -> Route:
-    """Iteratively remove the lowest-labelled balanced leaf; labels are kept.
+def trim_holding(
+    route: Sequence[int],
+    held: Collection[int] = (),
+    scan: tuple[dict[int, int], tuple[int, ...]] | None = None,
+) -> Route:
+    """Iteratively remove the lowest-labelled balanced leaf not in `held`.
 
-    Removing leaf L from ... x u L u y ... leaves ... x u y ...: no label
-    other than u changes count or neighbours, so only u is re-tested.
+    Labels are kept.  Removing leaf L from ... x u L u y ... leaves
+    ... x u y ...: no label other than u changes count or neighbours, so only
+    u is re-tested.  `scan` is the route's leaf_scan when the caller already
+    has it; it is left unchanged.
     """
-    current = list(route)
-    counts, leaves = _leaf_scan(current)
+    counts, leaves = leaf_scan(route) if scan is None else scan
+    current, counts = list(route), dict(counts)
+    leaves = [v for v in leaves if v not in held]
     while leaves and len(current) > 2:
         leaf = min(leaves)
         leaves.remove(leaf)
         del counts[leaf]
         neighbour = _drop_leaf(current, leaf)
         counts[neighbour] -= 1
-        if _is_leaf(current, counts, neighbour):
+        if neighbour not in held and _is_leaf(current, counts, neighbour):
             leaves.append(neighbour)
     return tuple(current)
+
+
+def trim_route(route: Sequence[int]) -> Route:
+    """Iteratively remove the lowest-labelled balanced leaf; labels are kept."""
+    return trim_holding(route)
 
 
 def classify_leaf_free_route(route: Sequence[int]) -> SeedClass:
@@ -296,7 +308,11 @@ class CircuitMultigraph:
         return black_labels(self.route)
 
     def reversed_adjacency(self) -> list[list[int]]:
-        """Dense r x r matrix counting edges of the reversed graph."""
+        """Dense r x r matrix counting edges of the reversed graph.
+
+        This is the paper's reversed adjacency matrix, kept as the readable
+        form of what `reversed_edge_counts` computes for the weights.
+        """
         r = self.vertex_count
         matrix = [[0] * r for _ in range(r)]
         for (a, b), c in reversed_edge_counts(self.route).items():
@@ -346,13 +362,6 @@ def build_graph(route: Sequence[int]) -> CircuitMultigraph:
     return CircuitMultigraph(route)
 
 
-def classify_seed(graph: CircuitMultigraph) -> SeedClass:
-    """Classify a graph that is already leaf-free."""
-    if graph.balanced_leaves():
-        raise ValueError(f"graph {graph!r} still has balanced leaves")
-    return classify_leaf_free_route(graph.route)
-
-
 # ---------------------------------------------------------------------------
 # double-circuit multigraphs
 
@@ -391,30 +400,15 @@ def classify_leaf_free_double(first: Sequence[int], second: Sequence[int]) -> Se
 
 
 def trim_double(first: Sequence[int], second: Sequence[int]) -> tuple[Route, Route]:
-    """Trim a pair of routes; a leaf must be unvisited by the other component.
+    """Trim a pair of routes; a leaf must be unvisited by the other route.
 
-    Lowest label first over both routes.  Trimming never removes a label that
-    the other route visits, so whether a label is visited by the other route
-    only changes for the removed leaf itself; as in trim_route, only the
-    neighbour of each removed leaf is re-tested.
+    A removed leaf is visited by one route only, and its neighbour keeps an
+    entry, so the labels the two routes share never change while they are
+    trimmed.  Each route is therefore trimmed on its own, lowest label first,
+    with the shared labels held.
     """
-    routes = (list(first), list(second))
-    (counts1, leaves1), (counts2, leaves2) = _leaf_scan(routes[0]), _leaf_scan(routes[1])
-    counts = (counts1, counts2)
-    queue = [(v, 0) for v in leaves1 if v not in counts2]
-    queue += [(v, 1) for v in leaves2 if v not in counts1]
-    while queue:
-        leaf, side = min(queue)
-        queue.remove((leaf, side))
-        route, own = routes[side], counts[side]
-        if len(route) <= 2:
-            continue  # a walk of at most two steps has no leaves left
-        del own[leaf]
-        neighbour = _drop_leaf(route, leaf)
-        own[neighbour] -= 1
-        if neighbour not in counts[1 - side] and _is_leaf(route, own, neighbour):
-            queue.append((neighbour, side))
-    return tuple(routes[0]), tuple(routes[1])
+    shared = set(first) & set(second)
+    return trim_holding(first, shared), trim_holding(second, shared)
 
 
 class DoubleCircuitMultigraph:
@@ -496,10 +490,3 @@ def build_double_graph(
     first: Sequence[int], second: Sequence[int]
 ) -> DoubleCircuitMultigraph:
     return DoubleCircuitMultigraph(first, second)
-
-
-def classify_seed_double(double: DoubleCircuitMultigraph) -> SeedClass:
-    """Classify a double graph that is already leaf-free."""
-    if double.balanced_leaves():
-        raise ValueError(f"double graph {double!r} still has balanced leaves")
-    return classify_leaf_free_double(double.first, double.second)

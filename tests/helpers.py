@@ -2,7 +2,8 @@
 route-pair reference for the signature census, inner sums weighed one
 signature at a time and their affine reading at two formal moment sequences,
 a per-quadruple reference for the covariance oracle, rescanning trims with label-level seed-class
-censuses that visit every route pair, per-b references for the
+censuses that visit every route pair, the orbit-loop double census that
+trims one route quadruple at a time, per-b references for the
 closed-form covariance coefficients, the Bartlett Wishart sampler, and the
 whole-batch Monte Carlo trace loop."""
 
@@ -19,13 +20,19 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from tracemoments.closedform import binom
-from tracemoments.enumeration import iter_route_pairs, signature_census
+from tracemoments.enumeration import (
+    _covering_tuples,
+    _rotation_orbits,
+    iter_route_pairs,
+    signature_census,
+)
 from tracemoments.graphs import (
     balanced_leaf_labels,
     build_double_graph,
     classify_leaf_free_double,
     classify_leaf_free_route,
     reversed_edge_counts,
+    trim_double,
     zip_routes,
 )
 from tracemoments.montecarlo import BATCH_SIZE
@@ -260,6 +267,23 @@ def reference_census_double(l1: int, l2: int, b: int) -> Counter:
         double_bucket(i, k, j, m, b)
         for i, k, j, m in split_route_pairs(l1, l2, l1 + l2, b)
     )
+
+
+def reference_orbit_census_double(l1: int, l2: int, b: int) -> dict:
+    """census_double by trimming both walks of one route quadruple at a time.
+
+    As in census_double, each orbit of (i, j) under independent rotations of
+    i and j is visited once and weighted by its size.
+    """
+    r = l1 + l2
+    split_ks = [(km[:l1], km[l1:]) for km in _covering_tuples(r, r, b)]
+    buckets: dict = {}
+    for ij, orbit_size in _rotation_orbits((l1, l2), b):
+        i, j = ij[:l1], ij[l1:]
+        for k, m in split_ks:
+            key = double_bucket(i, k, j, m, b, trim_double)
+            buckets[key] = buckets.get(key, 0) + orbit_size
+    return buckets
 
 
 # ---------------------------------------------------------------------------

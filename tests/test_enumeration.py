@@ -17,6 +17,7 @@ from helpers import (
     reference_census_by_seed,
     reference_census_double,
     reference_inner_sum,
+    reference_orbit_census_double,
     reference_signature_census,
     reference_trace_covariance,
     split_route_pairs,
@@ -461,18 +462,23 @@ def test_census_by_seed_matches_route_pair_reference(l, bs):
 
 
 @pytest.mark.parametrize(
-    "cases",
+    "cases,orbit_cases",
     [
-        [(l1, total - l1, b) for total in range(2, 5) for l1 in range(1, total)
-         for b in range(1, total + 1)],
-        [(2, 3, 2), (3, 2, 2)],
+        ([(l1, total - l1, b) for total in range(2, 5) for l1 in range(1, total)
+          for b in range(1, total + 1)], []),
+        ([(2, 3, 2), (3, 2, 2)], [(2, 3, 3), (4, 1, 3), (1, 4, 4)]),
     ],
     ids=["sum<=4", "sum=5"],
 )
-def test_census_double_matches_route_pair_reference(cases):
+def test_census_double_matches_route_pair_reference(cases, orbit_cases):
     for l1, l2, b in cases:
         got = census_double(l1, l2, b, allow_large=True)
         assert got == reference_census_double(l1, l2, b), (l1, l2, b)
+    # the census that trimmed one route quadruple at a time, at sizes where
+    # every labelled quadruple would take too long
+    for l1, l2, b in orbit_cases:
+        got = census_double(l1, l2, b, allow_large=True)
+        assert got == reference_orbit_census_double(l1, l2, b), (l1, l2, b)
 
 
 def _rotate(route):

@@ -11,6 +11,7 @@ from helpers import (
     canonical_patterns,
     reference_trim_double,
     reference_trim_route,
+    split_route_pairs,
     surjective_routes,
 )
 from tracemoments.graphs import (
@@ -23,8 +24,8 @@ from tracemoments.graphs import (
     balanced_leaf_labels,
     build_double_graph,
     build_graph,
-    classify_seed,
-    classify_seed_double,
+    classify_leaf_free_double,
+    classify_leaf_free_route,
     compact_labels,
     double_one_d_ring,
     double_two_d_ring,
@@ -35,6 +36,7 @@ from tracemoments.graphs import (
     reversed_edge_counts,
     route_edges,
     trim_double,
+    trim_holding,
     trim_route,
     two_d_ring,
     zip_routes,
@@ -123,32 +125,26 @@ def test_seed_double_examples():
 
 
 def test_classify_seed_examples():
-    assert classify_seed(build_graph((1, 1))) == two_d_ring(1)
-    assert classify_seed(build_graph((1, 2, 1, 2))) == two_d_ring(2)
-    assert classify_seed(build_graph((1, 2, 3, 1, 2, 3))) == one_d_ring(3)
-    assert classify_seed(build_graph((1, 2))) == BALANCED_PAIR_SEED
-    assert classify_seed(build_graph((1, 1, 2, 2))) == OTHER_SEED
-    with pytest.raises(ValueError):
-        classify_seed(build_graph((1, 2, 1, 3)))  # still has leaves
+    assert classify_leaf_free_route((1, 1)) == two_d_ring(1)
+    assert classify_leaf_free_route((1, 2, 1, 2)) == two_d_ring(2)
+    assert classify_leaf_free_route((1, 2, 3, 1, 2, 3)) == one_d_ring(3)
+    assert classify_leaf_free_route((1, 2)) == BALANCED_PAIR_SEED
+    assert classify_leaf_free_route((1, 1, 2, 2)) == OTHER_SEED
+    # the classifier takes leaf-free routes; this one still has leaves
+    assert balanced_leaf_labels((1, 2, 1, 3)) == (2, 3)
 
 
 def test_classify_seed_double_examples():
-    assert classify_seed_double(build_double_graph((1,), (1,))) == double_two_d_ring(1)
-    assert classify_seed_double(
-        build_double_graph((1, 2, 4, 3), (1, 2, 4, 3))
-    ) == double_one_d_ring(4)
+    assert classify_leaf_free_double((1,), (1,)) == double_two_d_ring(1)
+    assert classify_leaf_free_double((1, 2, 4, 3), (1, 2, 4, 3)) == double_one_d_ring(4)
     # starting points one step apart: excluded by the even-offset condition
-    assert classify_seed_double(
-        build_double_graph((1, 2, 4, 3), (3, 1, 2, 4))
-    ) == DOUBLE_OTHER_SEED
+    assert classify_leaf_free_double((1, 2, 4, 3), (3, 1, 2, 4)) == DOUBLE_OTHER_SEED
     # two steps apart: included
-    assert classify_seed_double(
-        build_double_graph((1, 2, 4, 3), (4, 3, 1, 2))
-    ) == double_one_d_ring(4)
-    assert classify_seed_double(build_double_graph((1, 2), (1, 2))) == double_two_d_ring(2)
-    assert classify_seed_double(build_double_graph((1, 2), (2, 1))) == DOUBLE_OTHER_SEED
-    with pytest.raises(ValueError):
-        classify_seed_double(build_double_graph((1, 2, 1, 3), (1, 4)))
+    assert classify_leaf_free_double((1, 2, 4, 3), (4, 3, 1, 2)) == double_one_d_ring(4)
+    assert classify_leaf_free_double((1, 2), (1, 2)) == double_two_d_ring(2)
+    assert classify_leaf_free_double((1, 2), (2, 1)) == DOUBLE_OTHER_SEED
+    # the classifier takes leaf-free pairs; this one still has leaves
+    assert build_double_graph((1, 2, 1, 3), (1, 4)).balanced_leaves() == {2, 3}
 
 
 def test_seed_class_validation():
@@ -221,6 +217,33 @@ def test_incremental_double_trim_matches_rescanning_reference(first, second):
     assert trim_double(first, second) == reference_trim_double(first, second)
 
 
+def _assert_sides_trim_on_their_own(first, second):
+    # trimming never changes the labels both routes share, so each route
+    # trims alone with those labels held; census_double relies on this
+    shared = set(first) & set(second)
+    by_side = trim_holding(first, shared), trim_holding(second, shared)
+    assert trim_double(first, second) == reference_trim_double(first, second) == by_side
+
+
+def test_double_trim_is_two_one_sided_trims_exhaustive():
+    for total in range(2, 5):
+        for l1 in range(1, total):
+            for r in range(1, 2 * total + 1):
+                for b in range(1, min(total, r) + 1):
+                    for i, k, j, m in split_route_pairs(l1, total - l1, r, b):
+                        first, second = zip_routes(i, k), zip_routes(j, m)
+                        _assert_sides_trim_on_their_own(first, second)
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=10).map(tuple),
+    st.lists(st.integers(1, 6), min_size=1, max_size=10).map(tuple),
+)
+@settings(max_examples=300)
+def test_double_trim_is_two_one_sided_trims_random(first, second):
+    _assert_sides_trim_on_their_own(first, second)
+
+
 def test_seed_idempotent_exhaustive():
     for length in range(1, 9):
         for route in canonical_patterns(length):
@@ -269,8 +292,6 @@ def test_balanced_tree_characterization():
 
 
 def classify_leaf_free(route):
-    from tracemoments.graphs import classify_leaf_free_route
-
     if balanced_leaf_labels(route):
         return None
     return classify_leaf_free_route(route)
