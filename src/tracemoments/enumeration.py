@@ -39,7 +39,6 @@ from .graphs import (
     classify_leaf_free_route,
     compact_labels,
     leaf_scan,
-    route_edges,
     trim_double,  # not called here; perfbench/tracing.py wraps it by this name
     trim_holding,
     trim_route,
@@ -539,7 +538,7 @@ def census_double(
 
 
 # ---------------------------------------------------------------------------
-# sprouting census (walk search with exact final verification)
+# sprouting census (sprouts re-inserted into the seed, exact final verification)
 
 
 def census_sprouting(
@@ -549,11 +548,12 @@ def census_sprouting(
 ) -> int:
     """Count walks trimming to the given seed with the prescribed sprout colors.
 
-    The search walks candidate routes edge by edge under necessary conditions
-    (edge budgets between seed vertices, single opposite pairs on any sprout
-    connection, color parity) and then verifies each completed route by
-    actually trimming it.  Seed vertices are relabelled above the sprouts so
-    that the known order-sensitivity of two-vertex seeds cannot bite.
+    Trimming keeps every seed label and removes each sprout L with a
+    neighbour u in one of graphs._drop_leaf's three shapes, so every such walk
+    is the seed with its sprouts put back, one at a time, by the reversed
+    shapes.  The grown walks with the right colors that trim exactly to the
+    seed are counted.  Seed vertices are relabelled above the sprouts so that
+    the known order-sensitivity of two-vertex seeds cannot bite.
     """
     seed_route = tuple(seed_route)
     blacks = frozenset(black_sprouts)
@@ -570,94 +570,25 @@ def census_sprouting(
 
     # sprouts become 1..n_sprouts, seed labels sit above them in order
     sprout_map = {v: idx for idx, v in enumerate(sorted(blacks | whites), start=1)}
-    seed_map = {
-        v: n_sprouts + idx for idx, v in enumerate(sorted(set(seed_route)), start=1)
-    }
+    seed_map = {v: n_sprouts + idx for idx, v in enumerate(sorted(set(seed_route)), start=1)}
     i0 = tuple(seed_map[v] for v in seed_route)
     black_set = frozenset(sprout_map[v] for v in blacks)
     white_set = frozenset(sprout_map[v] for v in whites)
-    seed_labels = frozenset(i0)
-    sprout_labels = tuple(range(1, n_sprouts + 1))
-    all_labels = sprout_labels + tuple(sorted(seed_labels))
-    total_len = len(i0) + 2 * n_sprouts
 
-    budgets: dict[tuple[int, int], int] = {}
-    for e in route_edges(i0):
-        budgets[e] = budgets.get(e, 0) + 1
-    seed_edges_left = len(i0)
-
-    route: list[int] = []
-    sprout_edges_used: set[tuple[int, int]] = set()
+    walks = {i0}
+    for _ in range(n_sprouts):
+        grown = set()
+        for w in walks:
+            for leaf in range(1, n_sprouts + 1):
+                if leaf not in w:
+                    grown.update(w[:t] + (leaf, w[t - 1]) + w[t:] for t in range(len(w) + 1))
+                    grown.add(w + (w[0], leaf))
+        walks = grown
     count = 0
-
-    def edge_ok(a: int, c: int) -> bool:
-        if a in seed_labels and c in seed_labels:
-            return budgets.get((a, c), 0) > 0
-        if a == c:
-            return False  # sprout self-loops can never trim away
-        return (a, c) not in sprout_edges_used
-
-    def consume(a: int, c: int) -> None:
-        nonlocal seed_edges_left
-        if a in seed_labels and c in seed_labels:
-            budgets[(a, c)] -= 1
-            seed_edges_left -= 1
-        else:
-            sprout_edges_used.add((a, c))
-
-    def release(a: int, c: int) -> None:
-        nonlocal seed_edges_left
-        if a in seed_labels and c in seed_labels:
-            budgets[(a, c)] += 1
-            seed_edges_left += 1
-        else:
-            sprout_edges_used.discard((a, c))
-
-    def finish() -> None:
-        nonlocal count
-        if seed_edges_left != 0:
-            return
-        filled = tuple(route)
-        visited = set(filled)
-        if not (black_set | white_set) <= visited:
-            return
-        if black_labels(filled) & white_set:
-            return
-        if not black_set <= black_labels(filled):
-            return
-        if trim_route(filled) != i0:
-            return
-        count += 1
-
-    def extend(position: int) -> None:
-        if position == total_len:
-            a, c = route[-1], route[0]
-            if edge_ok(a, c):
-                consume(a, c)
-                finish()
-                release(a, c)
-            return
-        if seed_edges_left > total_len - position + 1:
-            return  # cannot place the remaining seed edges any more
-        current = route[-1]
-        even_position = position % 2 == 0
-        for nxt in all_labels:
-            if nxt in white_set and even_position:
-                continue  # whites may only stand at even walk positions
-            if not edge_ok(current, nxt):
-                continue
-            consume(current, nxt)
-            route.append(nxt)
-            extend(position + 1)
-            route.pop()
-            release(current, nxt)
-
-    for start in all_labels:
-        if start in white_set:
-            continue  # position 1 is odd, hence black
-        route.append(start)
-        extend(1)
-        route.pop()
+    for w in walks:
+        on_black = black_labels(w)
+        if black_set <= on_black and not on_black & white_set and trim_route(w) == i0:
+            count += 1
     return count
 
 

@@ -4,8 +4,9 @@ signature at a time and their affine reading at two formal moment sequences,
 a per-quadruple reference for the covariance oracle, rescanning trims with label-level seed-class
 censuses that visit every route pair, the orbit-loop double census that
 trims one route quadruple at a time, per-b references for the
-closed-form covariance coefficients, the Bartlett Wishart sampler, and the
-whole-batch Monte Carlo trace loop."""
+closed-form covariance coefficients, the Bartlett Wishart sampler, the
+whole-batch Monte Carlo trace loop, and the edge-by-edge sprouting walk
+search."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, sqrt
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,11 +30,15 @@ from tracemoments.enumeration import (
 )
 from tracemoments.graphs import (
     balanced_leaf_labels,
+    black_labels,
     build_double_graph,
     classify_leaf_free_double,
     classify_leaf_free_route,
+    compact_labels,
     reversed_edge_counts,
+    route_edges,
     trim_double,
+    trim_route,
     zip_routes,
 )
 from tracemoments.montecarlo import BATCH_SIZE
@@ -443,3 +449,126 @@ def reference_sample_traces(config) -> np.ndarray:
         done += count
         batch += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# the edge-by-edge sprouting walk search that census_sprouting replaced
+
+
+def reference_census_sprouting(
+    seed_route: Sequence[int],
+    black_sprouts: Iterable[int],
+    white_sprouts: Iterable[int],
+) -> int:
+    """Count walks trimming to the given seed with the prescribed sprout colors.
+
+    The search walks candidate routes edge by edge under necessary conditions
+    (edge budgets between seed vertices, single opposite pairs on any sprout
+    connection, color parity) and then verifies each completed route by
+    actually trimming it.  Seed vertices are relabelled above the sprouts so
+    that the known order-sensitivity of two-vertex seeds cannot bite.
+    """
+    seed_route = tuple(seed_route)
+    blacks = frozenset(black_sprouts)
+    whites = frozenset(white_sprouts)
+    if blacks & whites:
+        raise ValueError("black and white sprout sets overlap")
+    if (blacks | whites) & set(seed_route):
+        raise ValueError("sprout labels must be disjoint from the seed labels")
+    if balanced_leaf_labels(compact_labels(seed_route)):
+        raise ValueError(f"seed route {seed_route} still has balanced leaves")
+    n_sprouts = len(blacks) + len(whites)
+    if n_sprouts == 0:
+        return 1
+
+    # sprouts become 1..n_sprouts, seed labels sit above them in order
+    sprout_map = {v: idx for idx, v in enumerate(sorted(blacks | whites), start=1)}
+    seed_map = {
+        v: n_sprouts + idx for idx, v in enumerate(sorted(set(seed_route)), start=1)
+    }
+    i0 = tuple(seed_map[v] for v in seed_route)
+    black_set = frozenset(sprout_map[v] for v in blacks)
+    white_set = frozenset(sprout_map[v] for v in whites)
+    seed_labels = frozenset(i0)
+    sprout_labels = tuple(range(1, n_sprouts + 1))
+    all_labels = sprout_labels + tuple(sorted(seed_labels))
+    total_len = len(i0) + 2 * n_sprouts
+
+    budgets: dict[tuple[int, int], int] = {}
+    for e in route_edges(i0):
+        budgets[e] = budgets.get(e, 0) + 1
+    seed_edges_left = len(i0)
+
+    route: list[int] = []
+    sprout_edges_used: set[tuple[int, int]] = set()
+    count = 0
+
+    def edge_ok(a: int, c: int) -> bool:
+        if a in seed_labels and c in seed_labels:
+            return budgets.get((a, c), 0) > 0
+        if a == c:
+            return False  # sprout self-loops can never trim away
+        return (a, c) not in sprout_edges_used
+
+    def consume(a: int, c: int) -> None:
+        nonlocal seed_edges_left
+        if a in seed_labels and c in seed_labels:
+            budgets[(a, c)] -= 1
+            seed_edges_left -= 1
+        else:
+            sprout_edges_used.add((a, c))
+
+    def release(a: int, c: int) -> None:
+        nonlocal seed_edges_left
+        if a in seed_labels and c in seed_labels:
+            budgets[(a, c)] += 1
+            seed_edges_left += 1
+        else:
+            sprout_edges_used.discard((a, c))
+
+    def finish() -> None:
+        nonlocal count
+        if seed_edges_left != 0:
+            return
+        filled = tuple(route)
+        visited = set(filled)
+        if not (black_set | white_set) <= visited:
+            return
+        if black_labels(filled) & white_set:
+            return
+        if not black_set <= black_labels(filled):
+            return
+        if trim_route(filled) != i0:
+            return
+        count += 1
+
+    def extend(position: int) -> None:
+        if position == total_len:
+            a, c = route[-1], route[0]
+            if edge_ok(a, c):
+                consume(a, c)
+                finish()
+                release(a, c)
+            return
+        if seed_edges_left > total_len - position + 1:
+            return  # cannot place the remaining seed edges any more
+        current = route[-1]
+        even_position = position % 2 == 0
+        for nxt in all_labels:
+            if nxt in white_set and even_position:
+                continue  # whites may only stand at even walk positions
+            if not edge_ok(current, nxt):
+                continue
+            consume(current, nxt)
+            route.append(nxt)
+            extend(position + 1)
+            route.pop()
+            release(current, nxt)
+
+    for start in all_labels:
+        if start in white_set:
+            continue  # position 1 is odd, hence black
+        route.append(start)
+        extend(1)
+        route.pop()
+    return count

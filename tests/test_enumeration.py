@@ -16,6 +16,7 @@ from helpers import (
     reference_affine,
     reference_census_by_seed,
     reference_census_double,
+    reference_census_sprouting,
     reference_inner_sum,
     reference_orbit_census_double,
     reference_signature_census,
@@ -52,8 +53,10 @@ from tracemoments.enumeration import (
     signature_census,
 )
 from tracemoments.graphs import (
+    balanced_leaf_labels,
     build_double_graph,
     classify_leaf_free_route,
+    compact_labels,
     double_two_d_ring,
     trim_double,
     trim_route,
@@ -567,8 +570,8 @@ def test_census_sprouting_examples():
     (3, [(1, 2, 3, 1, 2, 3), (1, 1, 1, 2, 2, 2), (1, 1, 1, 1, 1, 1)]),
 ])
 def test_census_sprouting_matches_formula_and_seed_independence(l0, seeds):
-    for b_prime in range(0, 3):
-        for w_prime in range(0, 3 - b_prime):
+    for b_prime in range(0, 5):
+        for w_prime in range(0, 5 - b_prime):
             expected = count_sprouting(l0, b_prime, w_prime)
             counts = [
                 census_sprouting(
@@ -579,6 +582,27 @@ def test_census_sprouting_matches_formula_and_seed_independence(l0, seeds):
                 for seed in seeds
             ]
             assert all(c == expected for c in counts), (l0, b_prime, w_prime, counts)
+
+
+def test_census_sprouting_matches_the_walk_search():
+    # every leaf-free seed of length <= 4 on the labels 1..m, m <= 3, with
+    # b' + w' <= 2; seeds like (1, 2) count 0 unless the seed labels are
+    # relabelled above the sprouts
+    seeds = [
+        seed
+        for length in range(1, 5)
+        for seed in product(range(1, 4), repeat=length)
+        if compact_labels(seed) == seed and not balanced_leaf_labels(seed)
+    ]
+    assert len(seeds) == 42
+    for seed in seeds:
+        for b_prime in range(0, 3):
+            for w_prime in range(0, 3 - b_prime):
+                blacks = set(range(11, 11 + b_prime))
+                whites = set(range(21, 21 + w_prime))
+                assert census_sprouting(seed, blacks, whites) == (
+                    reference_census_sprouting(seed, blacks, whites)
+                ), (seed, b_prime, w_prime)
 
 
 def test_census_double_examples():

@@ -16,8 +16,8 @@ from tracing import Tracer  # noqa: E402
 
 def test_tracer_installs_on_the_package_and_restores_it():
     # the traced benchmark run wraps names such as weight_of_exponents,
-    # signature_census, census_by_seed, census_double and trim_route by
-    # attribute, so a renamed or removed one breaks it
+    # signature_census, census_by_seed, census_double, census_sprouting and
+    # trim_route by attribute, so a renamed or removed one breaks it
     modules = [tracemoments.cli, tracemoments.closedform, tracemoments.enumeration,
                tracemoments.graphs, tracemoments.montecarlo, tracemoments.verify,
                tracemoments.weights]
@@ -31,12 +31,14 @@ def test_tracer_installs_on_the_package_and_restores_it():
         tracemoments.enumeration.exact_trace_moment(2, 2, 3, moments)
         assert tracemoments.verify.run_suite("ring-census", 2)["failures"] == []
         assert tracemoments.verify.run_suite("double-census", 2)["failures"] == []
+        assert tracemoments.verify.run_suite("sprouting", 2)["failures"] == []
         tracemoments.enumeration.census_double(2, 2, 3)
         metrics = tracer.metrics()
     finally:
         tracer.restore()
     assert tracer.calls["enumeration.inner_weight_sum_affine"] == 3
-    assert tracer.calls["verify.run_suite"] == 3
+    assert tracer.calls["verify.run_suite"] == 4
+    assert tracer.calls["enumeration.census_sprouting"] == 18
     assert tracer.calls["enumeration.census_double"] == 3  # b = 1, 2 at (1, 1), then (2, 2, 3)
     assert tracer.calls["closedform.A_coeff"] == 3
     assert metrics["weights.weight_of_exponents.calls"][0] > 0

@@ -44,6 +44,13 @@ def test_cov_coefficient_law_full_range():
     )
 
 
+def test_sprouting_suite_case_counts():
+    # perfbench/expected.json pins the report at max_l 2, so the ranges stay
+    report = run_suite("sprouting")
+    assert report == {"suite": "sprouting", "cases": 60, "failures": []}
+    assert run_suite("sprouting", 2)["cases"] == 18
+
+
 def test_bs_cov_reports_a_corrupted_theorem2_entry(monkeypatch):
     true_rows = closedform.C_coeffs
 
