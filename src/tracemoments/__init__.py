@@ -3,7 +3,14 @@
 A combinatorial engine over closed-walk multigraphs (coloring, leaf trimming,
 seed classification), exact closed-form expansion coefficients, a brute-force
 enumeration oracle, and a Monte Carlo harness that validates the lot.
+
+Everything but the Monte Carlo harness is exact rational arithmetic and never
+loads numpy.  The harness is imported on first use: `montecarlo`,
+`ExactReferences`, `SimulationConfig`, `SimulationReport`, `oracle_references`
+and `simulate` resolve through the module `__getattr__`.
 """
+
+import importlib
 
 from .closedform import (
     A_coeff,
@@ -56,13 +63,6 @@ from .graphs import (
     parse_route,
     zip_routes,
 )
-from .montecarlo import (
-    ExactReferences,
-    SimulationConfig,
-    SimulationReport,
-    oracle_references,
-    simulate,
-)
 from .verify import run_suite
 from .weights import (
     AffineAlpha,
@@ -74,3 +74,20 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+_MONTECARLO_NAMES = (
+    "ExactReferences",
+    "SimulationConfig",
+    "SimulationReport",
+    "oracle_references",
+    "simulate",
+)
+
+
+def __getattr__(name: str):
+    # `from . import montecarlo` here would call this hook again, without end
+    if name == "montecarlo":
+        return importlib.import_module(".montecarlo", __name__)
+    if name in _MONTECARLO_NAMES:
+        return getattr(importlib.import_module(".montecarlo", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

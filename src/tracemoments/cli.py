@@ -3,7 +3,9 @@
 JSON goes to standard output; `--format csv` is available for the tabular
 simulate report.  Exact rationals are serialized as "num/den".  Exit status is
 0 on success, 1 on validation errors or when memory runs out, 2 when a
-verification suite fails.
+verification suite fails.  Warnings go to standard error as one
+`warning: ...` line each.  Only `simulate` imports `montecarlo`, and with it
+numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import io
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Sequence
 
-from . import closedform, enumeration, montecarlo, verify
+from . import closedform, enumeration, verify
 from .graphs import CircuitMultigraph, DoubleCircuitMultigraph, parse_route
 from .weights import AffineAlpha, MomentSequence, preset_alpha, preset_moments
 
@@ -205,6 +208,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import montecarlo  # numpy loads here, never for an exact subcommand
+
     try:
         l_list = tuple(int(part) for part in args.l.split(","))
     except ValueError as exc:
@@ -343,13 +348,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # building one subparser instead of all of them is most of a cheap call
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        status = args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning  # one line, no source location
+            status = args.handler(args)
         sys.stdout.flush()  # a closed reader shows here, not at shutdown
         return status
     except BrokenPipeError:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .graphs import (
@@ -62,6 +63,34 @@ class AffineAlpha:
         return f"{self.c0} + {self.c1}*alpha"
 
 
+def _hankel_is_psd(values: tuple[Fraction, ...]) -> bool:
+    """Whether H[i][j] = m_(i+j), 0 <= i, j <= K//2, is positive semidefinite.
+
+    Every real distribution's moments pass.  Symmetric fraction-free
+    elimination, exact: the moments are scaled to integers, and each step
+    replaces the trailing block by pivot * (its Schur complement) divided by
+    the previous pivot, which divides it exactly.  A negative pivot, or a
+    zero pivot with a nonzero entry to its right, means not semidefinite.
+    """
+    size = (len(values) + 1) // 2
+    scale = lcm(*(m.denominator for m in values))
+    ints = [m.numerator * (scale // m.denominator) for m in values]
+    h = [ints[i:i + size] for i in range(size)]
+    previous = 1
+    for k, row in enumerate(h):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1:])):
+            return False
+        if pivot == 0:
+            continue  # a zero row and column: the rest does not depend on it
+        for i in range(k + 1, size):
+            target = h[i]
+            for j in range(i, size):
+                target[j] = (pivot * target[j] - row[i] * row[j]) // previous
+        previous = pivot
+    return True
+
+
 class MomentSequence:
     """Exact moments m_0..m_K of a centred, unit-variance entry distribution."""
 
@@ -77,6 +106,12 @@ class MomentSequence:
             warnings.warn(
                 f"fourth moment {values[4]} is below 1, impossible for a real "
                 "unit-variance distribution",
+                stacklevel=2,
+            )
+        elif not _hankel_is_psd(values):
+            warnings.warn(
+                f"moments {', '.join(map(str, values))} are impossible for a real "
+                "distribution: their Hankel matrix m_(i+j) is not positive semidefinite",
                 stacklevel=2,
             )
         self.moments = values

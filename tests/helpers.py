@@ -169,9 +169,9 @@ def reference_affine(lengths: tuple[int, ...], r: int, b: int) -> AffineAlpha:
     """
     zeros = [0] * (2 * sum(lengths) - 4)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a fourth moment of 0
+        warnings.simplefilter("ignore", UserWarning)  # both are infeasible
         at0 = reference_inner_sum(lengths, r, b, MomentSequence([1, 0, 1, 0, 0] + zeros))
-    at1 = reference_inner_sum(lengths, r, b, MomentSequence([1, 0, 1, 0, 1] + zeros))
+        at1 = reference_inner_sum(lengths, r, b, MomentSequence([1, 0, 1, 0, 1] + zeros))
     return AffineAlpha(at0, at1 - at0)
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from tracemoments import cli
+import tracemoments
+from tracemoments import cli, montecarlo
 
 
 def run_cli(capsys, *argv):
@@ -304,7 +305,7 @@ def test_out_of_memory_exits_one(capsys, monkeypatch):
         def fail(*_args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(cli.montecarlo, "simulate", fail)
+        monkeypatch.setattr(montecarlo, "simulate", fail)
         status, out, err = run_cli(capsys, *args)
         assert status == 1 and out == ""
         assert err.strip() == message and "Traceback" not in err
@@ -313,9 +314,9 @@ def test_out_of_memory_exits_one(capsys, monkeypatch):
 def test_out_of_memory_in_a_helper_thread_exits_one(capsys, monkeypatch):
     # the calling thread waits in its first chunk until a helper thread has
     # failed, so the error is raised in a helper and reaches the CLI
-    monkeypatch.setattr(cli.montecarlo, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
     failed = threading.Event()
-    draw = cli.montecarlo._draw_batch
+    draw = montecarlo._draw_batch
 
     def draw_or_fail(*args):
         if threading.current_thread() is threading.main_thread():
@@ -324,7 +325,7 @@ def test_out_of_memory_in_a_helper_thread_exits_one(capsys, monkeypatch):
         failed.set()
         raise MemoryError("Unable to allocate 8.00 TiB")
 
-    monkeypatch.setattr(cli.montecarlo, "_draw_batch", draw_or_fail)
+    monkeypatch.setattr(montecarlo, "_draw_batch", draw_or_fail)
     status, out, err = run_cli(
         capsys, "simulate", "--p", "2", "--n", "3", "--l", "1", "--reps", "3000",
         "--dist", "gaussian", "--seed", "1", "--no-reference", "--no-timestamp",
@@ -332,6 +333,77 @@ def test_out_of_memory_in_a_helper_thread_exits_one(capsys, monkeypatch):
     assert status == 1 and out == ""
     assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
     assert threading.active_count() == 1
+
+
+def test_python_m_runs_the_cli(capsys):
+    _, expected, _ = run_cli(capsys, "mp", "--l", "2", "--y", "1/2", "--no-timestamp")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tracemoments", "mp", "--l", "2", "--y", "1/2",
+         "--no-timestamp"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == expected
+
+
+# each exact subcommand once, at a small size
+EXACT_COMMANDS = (
+    ("mean-closed", "--l", "2", "--p", "2", "--n", "3", "--alpha", "3"),
+    ("mean-oracle", "--l", "2", "--p", "2", "--n", "3", "--dist", "gaussian"),
+    ("cov-closed", "--l1", "1", "--l2", "1", "--p", "2", "--n", "4", "--dist", "rademacher"),
+    ("cov-oracle", "--l1", "1", "--l2", "1", "--p", "2", "--n", "4", "--dist", "gaussian"),
+    ("census", "--l", "2", "--b", "1"),
+    ("verify", "--suite", "taylor", "--max-l", "3"),
+    ("mp", "--l", "2", "--y", "1/2"),
+    ("bs-check", "--max-l", "3"),
+    ("graph", "--route", "2,4,4,3,1,3"),
+)
+NUMPY_FREE_CHECK = """
+import contextlib, io, json, sys
+from tracemoments import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    statuses = [cli.main([*argv, "--no-timestamp"]) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in ("numpy", "tracemoments.montecarlo") if m in sys.modules]
+print(json.dumps({"statuses": statuses, "loaded": loaded}))
+"""
+
+
+def test_exact_subcommands_never_load_numpy():
+    # a fresh process, since this one may have loaded numpy already
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHECK, json.dumps(EXACT_COMMANDS)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"statuses": [0] * len(EXACT_COMMANDS), "loaded": []}
+
+
+def test_monte_carlo_names_load_on_first_use():
+    from tracemoments import SimulationConfig
+
+    assert tracemoments.montecarlo is montecarlo
+    assert SimulationConfig is montecarlo.SimulationConfig
+    for name in ("ExactReferences", "SimulationReport", "oracle_references", "simulate"):
+        assert getattr(tracemoments, name) is getattr(montecarlo, name)
+    with pytest.raises(AttributeError, match="nope"):
+        tracemoments.nope
+
+
+def test_warnings_print_one_line_each(capsys):
+    argv = ("mean-oracle", "--l", "2", "--p", "4", "--n", "8", "--no-timestamp")
+    for moments, value, message in (
+        ("1,0,1,0,0", "5/1", "fourth moment 0 is below 1, impossible for a real "
+                             "unit-variance distribution"),
+        ("1,0,1,2,2", "6/1", "moments 1, 0, 1, 2, 2 are impossible for a real "
+                             "distribution: their Hankel matrix m_(i+j) is not "
+                             "positive semidefinite"),
+    ):
+        for _ in range(2):  # shown on every call, not once per process
+            status, out, err = run_cli(capsys, *argv, "--moments", moments)
+            assert status == 0 and json.loads(out)["value"] == value
+            assert err == f"warning: {message}\n"
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

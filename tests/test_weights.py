@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,73 @@ def test_moment_sequence_warns_on_impossible_fourth_moment():
     # the warning cannot be switched off: the sequence takes no options
     with pytest.raises(TypeError):
         MomentSequence([1, 0, 1, 0, 0], warn_suspicious=False)
+
+
+def two_point_mixture_moments(components, order):
+    """m_0..m_order of a mixture of two-point laws on {a, -1/a}.
+
+    P(a) = 1/(1 + a^2) centres each law with unit variance, so every mixture
+    is a real distribution with exact rational moments, on at most
+    2 * len(components) atoms.
+    """
+    total = sum(w for _, w in components)
+    return [
+        sum(Fraction(w, total) * (a**k + a * a * (-1 / a) ** k) / (1 + a * a)
+            for a, w in components)
+        for k in range(order + 1)
+    ]
+
+
+two_point_components = st.lists(
+    st.tuples(st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=7),
+              st.integers(min_value=1, max_value=4)),
+    min_size=1, max_size=2,
+)
+
+
+def test_moment_sequence_warns_on_an_infeasible_hankel_matrix():
+    # [1, 0, 1, 2, 2] needs m_4 >= 1 + m_3^2 = 5; [1, 0, 1, 0, 1, 0, 0] needs
+    # m_6 >= 1 once m_4 = 1; m_4 = 1 puts all mass on +-1, so m_5 = m_3
+    for moments in ([1, 0, 1, 2, 2], [1, 0, 1, 0, 1, 0, 0], [1, 0, 1, 0, 1, 1, 5]):
+        with pytest.warns(UserWarning, match="not positive semidefinite") as caught:
+            MomentSequence(moments)
+        assert len(caught) == 1, moments
+    # a fourth moment below 1 gives its own warning, once
+    with pytest.warns(UserWarning) as caught:
+        MomentSequence([1, 0, 1, 0, 0, 0, 0])
+    assert [str(w.message) for w in caught] == [
+        "fourth moment 0 is below 1, impossible for a real unit-variance distribution"
+    ]
+
+
+def test_feasible_moment_sequences_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("gaussian", "rademacher", "uniform"):
+            for order in range(4, 13):
+                preset_moments(name, order)
+        MomentSequence.parse("1,0,1,0,3,0,15,0,105")
+        MomentSequence([1, 0, 1])
+        MomentSequence([1, 0, 1, 2, 5])  # m_4 = 1 + m_3^2, the bound itself
+
+
+@given(two_point_components, st.integers(min_value=4, max_value=12))
+def test_moments_of_a_real_distribution_do_not_warn(components, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        MomentSequence(two_point_mixture_moments(components, order))
+
+
+@given(two_point_components, st.integers(min_value=4, max_value=6),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000))
+def test_lowering_the_top_moment_of_a_few_atom_law_warns(components, half, cut):
+    # with at most `half` atoms the Hankel matrix is singular, and a null
+    # vector (the atoms' monic polynomial times a power of x) ends in 1, so
+    # any cut to m_(2 half) makes it indefinite
+    moments = two_point_mixture_moments(components, 2 * half)
+    moments[-1] -= cut
+    with pytest.warns(UserWarning, match="not positive semidefinite"):
+        MomentSequence(moments)
 
 
 def test_presets():
