@@ -1,13 +1,15 @@
 """Monte Carlo validation of exact trace moments and power-trace covariances.
 
-Sampling is keyed by (seed, batch index) through the counter-based Philox
-generator, with a fixed batch size, so a run is bit-reproducible no matter how
-batches are scheduled; partial final batches only truncate the stream.  The
-batches run on one thread per usable core, each writing its own rows of the
-output.  Each batch is drawn, multiplied out and traced in chunks that
-continue its stream, so the traces are those of the whole batch; the threads
-split a budget of about CHUNK_VALUES doubles between them, so the memory a
-run uses grows with neither the batch nor the thread count.
+Sampling is keyed by (seed, batch index): each batch draws from its own SFC64
+stream, seeded by SeedSequence(seed, spawn_key=(batch,)), numpy's recipe for
+independent parallel streams.  With a fixed batch size a run is
+bit-reproducible no matter how batches are scheduled; partial final batches
+only truncate the stream.  The batches run on one thread per usable core,
+each writing its own rows of the output.  Each batch is drawn, multiplied
+out and traced in chunks that continue its stream, so the traces are those
+of the whole batch; the threads split a budget of about CHUNK_VALUES doubles
+between them, so the memory a run uses grows with neither the batch nor the
+thread count.
 
 Each replication is a symmetric p x p matrix, p <= n after transposition, with
 the eigenvalues of X X^T: the Gram itself for rademacher (exact in float32)
@@ -35,8 +37,8 @@ import numpy as np
 from .weights import distribution_name, preset_moments
 
 RNG_ALGORITHM = (
-    "philox4x64 keyed by (seed, batch); gaussian: tridiagonal (Dumitriu-Edelman), "
-    "rademacher: packed bits, uniform: doubles"
+    "sfc64 spawned by SeedSequence(seed, spawn_key=(batch,)); "
+    "gaussian: tridiagonal (Dumitriu-Edelman), rademacher: packed bits, uniform: doubles"
 )
 BATCH_SIZE = 1024
 # doubles in the largest arrays of the chunks in flight, split between the
@@ -158,19 +160,47 @@ class _Buffers:
     """
 
     def __init__(self, distribution: str, p: int, n: int, top: int, capacity: int):
+        layout = self.layout(distribution, p, n, top, capacity)
+        self.halves = [np.empty(size, dtype) for dtype, size in layout.pop("halves")]
+        for name, (dtype, size) in layout.items():
+            setattr(self, name, np.empty(size, dtype))
+
+    @staticmethod
+    def layout(distribution: str, p: int, n: int, top: int, capacity: int) -> dict:
+        """The (dtype, size) of each buffer by name, a list of them for halves."""
         if distribution == "gaussian":
             widths = [min(k, p - 1) + 1 for k in range(1, top + 1)]
-            self.draws = np.empty(capacity * (2 * p - 1))
-            self.halves = [np.empty(capacity * width * p) for width in widths]
-            self.scratch = np.empty(capacity * widths[-1] * p)
-            return
+            return {
+                "draws": (np.float64, capacity * (2 * p - 1)),
+                "halves": [(np.float64, capacity * width * p) for width in widths],
+                "scratch": (np.float64, capacity * widths[-1] * p),
+            }
         # rademacher Grams are integers of size at most n, exact in float32
         # while n < 2^24
         single = distribution == "rademacher" and n < 2**24
-        self.draws = np.empty(capacity * p * n, np.float32 if single else np.float64)
+        dtype = np.float32 if single else np.float64
+        layout = {
+            "draws": (dtype, capacity * p * n),
+            "halves": [(np.float64, capacity * p * p)] * top,
+        }
         if distribution == "rademacher":
-            self.gram = np.empty(capacity * p * p, self.draws.dtype)
-        self.halves = [np.empty(capacity * p * p) for _ in range(top)]
+            layout["gram"] = (dtype, capacity * p * p)
+        return layout
+
+    @classmethod
+    def nbytes(cls, distribution: str, p: int, n: int, top: int, capacity: int) -> int:
+        """The bytes the buffers of one worker take, computed without them."""
+        layout = cls.layout(distribution, p, n, top, capacity)
+        entries = layout.pop("halves") + list(layout.values())
+        return sum(np.dtype(dtype).itemsize * size for dtype, size in entries)
+
+
+def _physical_memory() -> int | None:
+    """The bytes of physical memory of this machine, None where unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return None
 
 
 def _view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -179,8 +209,13 @@ def _view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
-    """The Philox generator keyed by (seed, batch_index): one batch's stream."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, batch_index], np.uint64)))
+    """One batch's stream: SFC64 seeded by the batch_index-th child of
+    SeedSequence(seed).  SeedSequence((seed, batch_index)) would alias, as
+    short entropy is zero-padded: (5, 1) and (2^32 + 5, 0) give one state;
+    the spawn key is appended after the padded seed, so the key is injective."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
+    )
 
 
 def _draw_batch(
@@ -213,7 +248,9 @@ def _draw_batch(
       only when it starts at a multiple of 4 bytes.  The Gram's
       entries and sums are integers of size at most n, exact in float32
       while n < 2^24, so the product runs in float32 there.
-    - uniform: the Gram X X^T of sqrt(3) (2 U - 1) per entry.
+    - uniform: the Gram X X^T of sqrt(3) (2 U - 1) per entry, taken as
+      12 (U - 1/2)(U - 1/2)^T: U - 1/2 is exact in float64, so the entries
+      take one pass and the scale one pass over the p x p Gram.
     """
     if distribution == "gaussian":
         dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
@@ -240,10 +277,10 @@ def _draw_batch(
         np.copyto(gram, single)
         return gram
     gen.random(out=x)
-    x *= 2.0
-    x -= 1.0
-    x *= math.sqrt(3.0)
-    return np.matmul(x, x.transpose(0, 2, 1), out=gram)
+    x -= 0.5
+    np.matmul(x, x.transpose(0, 2, 1), out=gram)
+    gram *= 12.0
+    return gram
 
 
 def _chunk_edges(count: int, widest: int, budget: int, align: int) -> list[int]:
@@ -378,6 +415,8 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     A gaussian tridiagonal T is multiplied out in band storage, O(p k) work
     and memory for T^k; the Grams of the other distributions as dense
     matrices.
+    Raises MemoryError, before allocating, when the output and the threads'
+    buffers would take more than the machine's physical memory.
     Raises ValueError when a trace is not finite in double precision, for
     the first such power of the first such batch; an exception in any
     thread is raised here, once every thread has stopped.
@@ -399,6 +438,17 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
         for count in (min(BATCH_SIZE, reps), reps - starts[-1])
     }
     capacity = max(stop - start for cuts in edges.values() for start, stop in pairwise(cuts))
+    # each of the arrays below succeeds lazily, so a run too large for the
+    # machine would fail only once its pages are touched: refuse it first
+    need = reps * len(config.l_list) * 8 + workers * _Buffers.nbytes(
+        config.distribution, p, n, top, capacity
+    )
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(
+            f"this run needs {need / 1e6:,.1f} MB of arrays, more than the "
+            f"{memory / 1e6:,.1f} MB of physical memory"
+        )
     buffers = [_Buffers(config.distribution, p, n, top, capacity) for _ in range(workers)]
     out = np.empty((reps, len(config.l_list)), dtype=np.float64)
     lock = threading.Lock()

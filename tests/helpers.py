@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, sqrt
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -344,18 +344,25 @@ def reference_bs_cov_coefficient(l1: int, l2: int, b: int) -> Fraction:
     return total
 
 
+def sfc64_stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """SFC64 seeded by SeedSequence(seed, spawn_key=spawn_key), built here
+    rather than through the package, so the references check its keying."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    )
+
+
 def reference_bartlett_gram(seed: int, batch_index: int, count: int, p: int, n: int):
     """`count` Wishart(n, I_p) matrices, p <= n, by the Bartlett decomposition.
 
     X X^T of a p x n standard normal X has the law of A A^T, A lower
     triangular with N(0, 1) below the diagonal and sqrt(chi^2_{n-i}) at
-    (i, i) (Bartlett 1933).  The normals come from Philox (seed,
-    batch_index), the chi-squares from its jumped stream.
+    (i, i) (Bartlett 1933).  The normals and the chi-squares come from two
+    independent children of the (seed, batch_index) stream, spawn keys
+    (batch_index, 0) and (batch_index, 1).
     """
-    bits = np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    # jump before drawing: jumped() starts from the current state
-    chi2_gen = np.random.Generator(bits.jumped())
+    gen = sfc64_stream(seed, batch_index, 0)
+    chi2_gen = sfc64_stream(seed, batch_index, 1)
     factor = np.zeros((count, p, p))
     below = gen.standard_normal((count, p * (p - 1) // 2))
     start = 0
@@ -369,11 +376,10 @@ def reference_bartlett_gram(seed: int, batch_index: int, count: int, p: int, n: 
 
 
 def reference_chi2(seed: int, batch_index: int, count: int, p: int, n: int) -> np.ndarray:
-    """The count x (2p - 1) chi-squares of the gaussian Philox (seed,
-    batch_index) batch, p <= n, drawn in one `chisquare` call: n - i degrees
-    of freedom for B's diagonal, i = 0..p-1, then p - 1 - i below it."""
-    key = np.array([seed, batch_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    """The count x (2p - 1) chi-squares of the gaussian (seed, batch_index)
+    batch, p <= n, drawn in one `chisquare` call: n - i degrees of freedom
+    for B's diagonal, i = 0..p-1, then p - 1 - i below it."""
+    gen = sfc64_stream(seed, batch_index)
     dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
     return gen.chisquare(dfs, size=(count, 2 * p - 1))
 
@@ -396,14 +402,13 @@ def reference_tridiagonal(chi2: np.ndarray, p: int) -> np.ndarray:
 def _reference_whole_batch(
     distribution: str, seed: int, batch_index: int, count: int, p: int, n: int
 ) -> np.ndarray:
-    """All `count` matrices of the Philox (seed, batch_index) batch, p <= n,
-    drawn at once: the tridiagonal Laguerre model for gaussian, the float32
-    Gram of packed sign bits for rademacher, the Gram of scaled doubles for
-    uniform."""
+    """All `count` matrices of the (seed, batch_index) batch, p <= n, drawn
+    at once: the tridiagonal Laguerre model for gaussian, the float32 Gram of
+    packed sign bits for rademacher, 12 (U - 1/2)(U - 1/2)^T of doubles U
+    for uniform."""
     if distribution == "gaussian":
         return reference_tridiagonal(reference_chi2(seed, batch_index, count, p, n), p)
-    key = np.array([seed, batch_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = sfc64_stream(seed, batch_index)
     if distribution == "rademacher":
         packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
         dtype = np.float32 if n < 2**24 else np.float64
@@ -411,11 +416,8 @@ def _reference_whole_batch(
         x *= 2.0
         x -= 1.0
         return (x @ x.transpose(0, 2, 1)).astype(np.float64)
-    x = gen.random((count, p, n))
-    x *= 2.0
-    x -= 1.0
-    x *= sqrt(3.0)
-    return x @ x.transpose(0, 2, 1)
+    x = gen.random((count, p, n)) - 0.5
+    return 12.0 * (x @ x.transpose(0, 2, 1))
 
 
 def reference_sample_traces(config) -> np.ndarray:

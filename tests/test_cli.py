@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,25 @@ def test_out_of_memory_in_a_helper_thread_exits_one(capsys, monkeypatch):
     assert status == 1 and out == ""
     assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
     assert threading.active_count() == 1
+
+
+def test_simulate_larger_than_memory_exits_one_before_allocating(capsys, monkeypatch):
+    # 20 dense powers of 300 x 300, two replications a chunk: about 30 MB of
+    # buffers, refused on a machine of 10 MB without allocating them
+    monkeypatch.setattr(montecarlo, "_physical_memory", lambda: 10_000_000)
+    tracemalloc.start()
+    try:
+        status, out, err = run_cli(
+            capsys, "simulate", "--p", "300", "--n", "300", "--l", "40", "--reps", "200",
+            "--dist", "uniform", "--seed", "1", "--no-reference", "--no-timestamp",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1 and out == ""
+    assert err.startswith("error: out of memory: this run needs 30.")
+    assert err.endswith(" MB of arrays, more than the 10.0 MB of physical memory\n")
+    assert peak < 1_000_000, peak
 
 
 def test_python_m_runs_the_cli(capsys):

@@ -72,7 +72,8 @@ from tracemoments.weights import (
 )
 
 GAUSSIAN_8 = preset_moments("gaussian", 8)
-SKEWED_8 = MomentSequence.parse("1,0,1,1,3,2,15,5,105")
+# x = 2 w.p. 1/5, -1/2 w.p. 4/5: mean 0, variance 1, nonzero odd moments
+SKEWED_8 = MomentSequence.parse("1,0,1,3/2,13/4,51/8,205/16,819/32,3277/64")
 
 
 def test_iter_route_pairs_examples():

@@ -15,6 +15,7 @@ from helpers import (
     reference_chi2,
     reference_sample_traces,
     reference_tridiagonal,
+    sfc64_stream,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,15 @@ def _whole_batch(distribution, seed, batch_index, count, p, n):
         return reference_tridiagonal(reference_chi2(seed, batch_index, count, p, n), p)
     buffers = _Buffers(distribution, p, n, 1, count)
     return _draw_batch(distribution, _batch_generator(seed, batch_index), count, p, n, buffers)
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_buffer_bytes_are_those_allocated(dist):
+    # sample_traces bounds its memory by nbytes before it allocates
+    buffers = _Buffers(dist, 3, 5, 3, 10)
+    arrays = [buffers.draws, *buffers.halves]
+    arrays += [getattr(buffers, name) for name in ("gram", "scratch") if hasattr(buffers, name)]
+    assert _Buffers.nbytes(dist, 3, 5, 3, 10) == sum(a.nbytes for a in arrays)
 
 
 def test_bitwise_reproducibility():
@@ -231,20 +241,32 @@ def test_threaded_memory_is_bounded(dist, monkeypatch):
     assert peak <= 16_000_000, peak
 
 
-def test_uniform_draws_are_scaled_philox_doubles():
-    # the uniform stream is sqrt(3) (2 U - 1), U the doubles of Philox (seed, batch)
+def test_batch_streams_are_spawned_children_of_the_seed():
+    # SeedSequence((seed, batch)) zero-pads short entropy, so (5, 1) and
+    # (2^32 + 5, 0) would share a stream; the spawn key keeps them apart
+    assert _batch_generator(5, 1).random() != _batch_generator(2**32 + 5, 0).random()
+    for seed, batch in ((0, 0), (5, 1), (2**32 + 5, 0), (2**64 - 1, 3)):
+        child = np.random.SeedSequence(seed).spawn(batch + 1)[batch]
+        expected = np.random.Generator(np.random.SFC64(child)).random(8)
+        assert np.array_equal(_batch_generator(seed, batch).random(8), expected)
+
+
+def test_uniform_draws_are_scaled_sfc64_doubles():
+    # the uniform stream is sqrt(3) (2 U - 1), U the doubles of the
+    # (seed, batch) stream: the Gram is 12 (U - 1/2)(U - 1/2)^T, to rounding
     for p, n in ((3, 5), (4, 8)):
-        key = np.array([7, 2], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).random((10, p, n))
+        u = sfc64_stream(7, 2).random((10, p, n))
         x = np.sqrt(3.0) * (2.0 * u - 1.0)
-        assert np.array_equal(_whole_batch("uniform", 7, 2, 10, p, n), x @ x.transpose(0, 2, 1))
+        gram = _whole_batch("uniform", 7, 2, 10, p, n)
+        assert np.allclose(gram, x @ x.transpose(0, 2, 1), rtol=1e-12, atol=1e-12 * n)
+        centred = u - 0.5
+        assert np.array_equal(gram, 12.0 * (centred @ centred.transpose(0, 2, 1)))
 
 
 def test_rademacher_gram_is_the_float64_gram_of_the_same_bits():
     # the float32 product is exact: +-1 Gram entries are integers up to n
     for p, n in ((3, 5), (50, 100)):
-        key = np.array([7, 2], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        gen = sfc64_stream(7, 2)
         packed = gen.integers(0, 256, size=(20, -(-p * n // 8)), dtype=np.uint8)
         x = np.unpackbits(packed, axis=1, count=p * n).reshape(20, p, n) * 2.0 - 1.0
         gram = _whole_batch("rademacher", 7, 2, 20, p, n)
@@ -452,7 +474,9 @@ def test_report_serialization():
     report = simulate(cfg, oracle_references(cfg))
     payload = report.to_dict()
     assert payload["config"]["p"] == 2
-    assert payload["rng_algorithm"].startswith("philox")
+    assert payload["rng_algorithm"].startswith(
+        "sfc64 spawned by SeedSequence(seed, spawn_key=(batch,)); "
+    )
     rows = report.csv_rows()
     assert rows[0] == ["kind", "l1", "l2", "empirical", "exact", "se", "z"]
     assert len(rows) == 1 + len(report.means) + len(report.covariances)
