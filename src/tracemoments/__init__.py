@@ -49,7 +49,6 @@ from .enumeration import (
     exact_trace_moment,
     inner_weight_sum,
     inner_weight_sum_affine,
-    iter_route_pairs,
 )
 from .graphs import (
     CircuitMultigraph,

@@ -12,11 +12,13 @@ moment monomial, so every inner sum is an exact polynomial in the moments:
 evaluated with one weighing per monomial, or read off as an affine function
 of the fourth moment, with a check that no other monomial carries weight.
 The seed-class censuses trim labelled walks, whose label order matters, so
-they keep the labels and instead visit one route pair per rotation orbit,
-weighted by the orbit size.  The labels two walks share never change while
-the double walk trims, so the double census trims each side once per
-(walk, shared labels) and joins the two sides' results.  Partial sums are
-exact rationals, so any reduction order gives identical results.
+they keep the labels.  Their buckets depend on the walk's shape and colours,
+not on which label of a colour is which, so they visit one route pair per
+class of colour-preserving relabellings, weighted by the class size
+b! (r-b)!.  The labels two walks share never change while the double walk
+trims, so the double census trims each side once per (walk, shared labels)
+and joins the two sides' results.  Partial sums are exact rationals, so any
+reduction order gives identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     DOUBLE_OTHER_SEED,
@@ -101,38 +103,25 @@ def _validate_pair_params(l: int, r: int, b: int) -> None:
         raise ValueError(f"r={r} exceeds 2l={2 * l}")
 
 
-def iter_route_pairs(l: int, r: int, b: int) -> Iterator[tuple[Route, Route]]:
-    """Pairs (i, k): i covers [b] exactly, k lives in [r] and covers [r]\\[b]."""
-    _validate_pair_params(l, r, b)
-    ks = _covering_tuples(l, r, b)
-    for i in _covering_tuples(l, b, 0):
-        for k in ks:
-            yield i, k
-
-
 @lru_cache(maxsize=None)
-def _rotation_orbits(lengths: tuple[int, ...], b: int) -> tuple[tuple[Route, int], ...]:
-    """Surjections onto [b], one per orbit of rotating each segment, with orbit size.
+def _white_ordered_tuples(length: int, r: int, b: int) -> tuple[Route, ...]:
+    """The tuples of _covering_tuples(length, r, b) whose white labels
+    b+1, b+2, ... first appear in increasing order.
 
-    A surjection of length sum(lengths) is cut into consecutive segments of the
-    given lengths; the group rotating every segment independently acts on the
-    surjections, since rotation keeps the value set.
+    Each orbit of the covering tuples under permutations of the white labels
+    {b+1..r} holds exactly one of them.
     """
-    seen: set[Route] = set()
-    orbits: list[tuple[Route, int]] = []
-    for t in _covering_tuples(sum(lengths), b, 0):
-        if t in seen:
-            continue
-        rotations = []
-        start = 0
-        for length in lengths:
-            segment = t[start : start + length]
-            start += length
-            rotations.append([segment[s:] + segment[:s] for s in range(length)])
-        orbit = {sum(parts, ()) for parts in itertools.product(*rotations)}
-        seen |= orbit
-        orbits.append((t, len(orbit)))
-    return tuple(orbits)
+    ordered = []
+    for t in _covering_tuples(length, r, b):
+        new = b + 1
+        for v in t:
+            if v == new:
+                new += 1
+            elif v > new:
+                break
+        else:
+            ordered.append(t)
+    return tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +375,26 @@ def census_by_seed(
 ) -> dict[SeedClass, int]:
     """Seed-class census of walks on exactly l vertices with black set [b].
 
-    Counts the route pairs of iter_route_pairs(l, l, b) by the class of their
-    trimmed walk.  Rotating i and k together by one step rotates the zipped
-    walk by two positions, which keeps the trimmed walk's class; k ranges over
-    a rotation-closed set, so each rotation orbit of i is visited once, through
-    one representative, and weighted by its size.
+    Counts the route pairs (i, k) with i covering [b] exactly and k in [l]^l
+    covering the white labels [l]\\[b], by the class of their trimmed walk.
+    Permuting the black labels among themselves and the white labels among
+    themselves keeps the class: every black label is below every white one,
+    so the lowest-label-first trim only reorders leaves of one colour.  Each
+    walk visits every label, so the b! (l-b)! relabellings of a pair are
+    distinct; one pair per class is visited, i a restricted growth string and
+    k with its white labels in order of first appearance, and counted that
+    many times.
     """
     if not 1 <= b <= l:
         raise ValueError(f"need 1 <= b <= l, got b={b}, l={l}")
     _check_guard(l, CENSUS_VERTEX_LIMIT, allow_large, "l")
-    ks = _covering_tuples(l, l, b)
+    ks = _white_ordered_tuples(l, l, b)
+    class_size = factorial(b) * factorial(l - b)
     buckets: dict[SeedClass, int] = {}
-    for i, orbit_size in _rotation_orbits((l,), b):
+    for i in _set_partitions(l)[b]:
         for k in ks:
             seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
-            buckets[seed_class] = buckets.get(seed_class, 0) + orbit_size
+            buckets[seed_class] = buckets.get(seed_class, 0) + class_size
     return buckets
 
 
@@ -416,12 +410,14 @@ def _label_mask(route: Route) -> int:
 
 
 class _SideTable:
-    """One walk of a double walk zipped with every distinct k, trimmed on demand.
+    """One side of a double walk: its row zipped with each k, trimmed on demand.
 
-    By the lemma behind trim_double, a walk trims on its own once the labels
-    it shares with the other walk are held, so its result depends only on
-    its row and the shared-label mask, and not even on the mask when the
-    walk has no balanced leaf.  `result(row, key)` computes the result for
+    The ks are the distinct parts, before or after the split, of the column
+    routes that census_double visits.  By the lemma behind trim_double, a
+    walk trims on its own once the labels it shares with the other walk are
+    held, so its result depends only on its row and the shared-label mask,
+    and not even on the mask when the walk has no balanced leaf.
+    `result(row, key)` computes the result for
     `key = shared & keys[row]`, memoizes it in `memo[row]` and returns its
     index into `results`.  A result is (ring seed, black sprouts, white
     sprouts), where the ring seed is None when the seed repeats a label: no
@@ -477,13 +473,15 @@ def census_double(
 
     Buckets carry the double seed class together with the sprout split
     (b1', b2', w1', w2'): black/white vertices of each component outside the
-    component's share of the seed.  The route quadruples are those of
-    iter_route_pairs(l1+l2, l1+l2, b) split after l1.  Rotating (i, k), or
-    (j, m), by one step keeps the bucket, so as in census_by_seed each orbit
-    of (i, j) under independent rotations of i and j is visited once.
+    component's share of the seed.  The route quadruples (i, k, j, m) are
+    the route pairs (ij, km) of census_by_seed at length l1+l2, split after
+    l1.  As there, a colour-preserving relabelling keeps the bucket, so one
+    quadruple per class is visited, ij a restricted growth string and km
+    with its white labels in order of first appearance, and counted
+    b! (l1+l2-b)! times.
 
     Trimming never changes the labels the two walks share, so each walk
-    trims on its own with them held.  Per orbit, each side keeps a table of
+    trims on its own with them held.  Per ij, each side keeps a table of
     its walks, one per distinct k (or m), and trims a walk once per shared
     label set.  The quadruples are counted by the pair of side results, and
     each pair of distinct ring seeds is classified once per call.
@@ -498,14 +496,15 @@ def census_double(
     seconds: dict[Route, int] = {}
     rows1: list[int] = []
     rows2: list[int] = []
-    for km in _covering_tuples(r, r, b):
+    for km in _white_ordered_tuples(r, r, b):
         rows1.append(firsts.setdefault(km[:l1], len(firsts)))
         rows2.append(seconds.setdefault(km[l1:], len(seconds)))
     ks, ms = tuple(firsts), tuple(seconds)
     blacks = _label_mask(tuple(range(1, b + 1)))
     classes: dict[tuple[Route, Route], SeedClass] = {}
+    class_size = factorial(b) * factorial(r - b)
     buckets: dict[DoubleBucket, int] = {}
-    for ij, orbit_size in _rotation_orbits((l1, l2), b):
+    for ij in _set_partitions(r)[b]:
         side1 = _SideTable(ij[:l1], ks, blacks)
         side2 = _SideTable(ij[l1:], ms, blacks)
         masks1, keys1, memo1 = side1.masks, side1.keys, side1.memo
@@ -533,7 +532,7 @@ def census_double(
                         ring1, ring2
                     )
             key = (seed_class, (black1, black2, white1, white2))
-            buckets[key] = buckets.get(key, 0) + orbit_size * count
+            buckets[key] = buckets.get(key, 0) + class_size * count
     return buckets
 
 
@@ -596,5 +595,5 @@ def clear_caches() -> None:
     """Drop memoized enumerations (mostly useful in long-lived sessions)."""
     _census_block.cache_clear()
     _set_partitions.cache_clear()
-    _rotation_orbits.cache_clear()
+    _white_ordered_tuples.cache_clear()
     _covering_tuples.cache_clear()

@@ -1,9 +1,10 @@
-"""Shared enumeration utilities for the tests: route spaces, Prufer trees, a
-route-pair reference for the signature census, inner sums weighed one
-signature at a time and their affine reading at two formal moment sequences,
-a per-quadruple reference for the covariance oracle, rescanning trims with label-level seed-class
-censuses that visit every route pair, the orbit-loop double census that
-trims one route quadruple at a time, per-b references for the
+"""Shared enumeration utilities for the tests: route spaces, the labelled
+route pairs and their rotation orbits, Prufer trees, a route-pair reference
+for the signature census, inner sums weighed one signature at a time and
+their affine reading at two formal moment sequences, a per-quadruple
+reference for the covariance oracle, rescanning trims with label-level
+seed-class censuses that visit every route pair, the orbit-loop double
+census that trims one route quadruple at a time, per-b references for the
 closed-form covariance coefficients, the Bartlett Wishart sampler, the
 whole-batch Monte Carlo trace loop, and the edge-by-edge sprouting walk
 search."""
@@ -17,18 +18,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from tracemoments.closedform import binom
 from tracemoments.enumeration import (
     _covering_tuples,
-    _rotation_orbits,
-    iter_route_pairs,
+    _validate_pair_params,
     signature_census,
 )
 from tracemoments.graphs import (
+    Route,
     balanced_leaf_labels,
     black_labels,
     build_double_graph,
@@ -120,6 +121,40 @@ def spanning_trees_of_complete_bipartite(b_side: int, w_side: int):
         edges = prufer_to_tree(seq, n)
         if all((u in left) != (v in left) for u, v in edges):
             yield edges
+
+
+def iter_route_pairs(l: int, r: int, b: int) -> Iterator[tuple[Route, Route]]:
+    """Pairs (i, k): i covers [b] exactly, k lives in [r] and covers [r]\\[b]."""
+    _validate_pair_params(l, r, b)
+    ks = _covering_tuples(l, r, b)
+    for i in _covering_tuples(l, b, 0):
+        for k in ks:
+            yield i, k
+
+
+@lru_cache(maxsize=None)
+def rotation_orbits(lengths: tuple[int, ...], b: int) -> tuple[tuple[Route, int], ...]:
+    """Surjections onto [b], one per orbit of rotating each segment, with orbit size.
+
+    A surjection of length sum(lengths) is cut into consecutive segments of the
+    given lengths; the group rotating every segment independently acts on the
+    surjections, since rotation keeps the value set.
+    """
+    seen: set[Route] = set()
+    orbits: list[tuple[Route, int]] = []
+    for t in _covering_tuples(sum(lengths), b, 0):
+        if t in seen:
+            continue
+        rotations = []
+        start = 0
+        for length in lengths:
+            segment = t[start : start + length]
+            start += length
+            rotations.append([segment[s:] + segment[:s] for s in range(length)])
+        orbit = {sum(parts, ()) for parts in product(*rotations)}
+        seen |= orbit
+        orbits.append((t, len(orbit)))
+    return tuple(orbits)
 
 
 def split_route_pairs(l1: int, l2: int, r: int, b: int):
@@ -278,13 +313,15 @@ def reference_census_double(l1: int, l2: int, b: int) -> Counter:
 def reference_orbit_census_double(l1: int, l2: int, b: int) -> dict:
     """census_double by trimming both walks of one route quadruple at a time.
 
-    As in census_double, each orbit of (i, j) under independent rotations of
-    i and j is visited once and weighted by its size.
+    Each orbit of (i, j) under independent rotations of i and j is visited
+    once and weighted by its size: rotating (i, k), or (j, m), by one step
+    rotates a zipped walk by two positions and keeps the bucket.  This is a
+    reduction independent of census_double's colour-preserving relabellings.
     """
     r = l1 + l2
     split_ks = [(km[:l1], km[l1:]) for km in _covering_tuples(r, r, b)]
     buckets: dict = {}
-    for ij, orbit_size in _rotation_orbits((l1, l2), b):
+    for ij, orbit_size in rotation_orbits((l1, l2), b):
         i, j = ij[:l1], ij[l1:]
         for k, m in split_ks:
             key = double_bucket(i, k, j, m, b, trim_double)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     double_bucket,
+    iter_route_pairs,
     reference_affine,
     reference_census_by_seed,
     reference_census_double,
@@ -21,6 +22,7 @@ from helpers import (
     reference_orbit_census_double,
     reference_signature_census,
     reference_trace_covariance,
+    rotation_orbits,
     split_route_pairs,
     surjective_routes,
 )
@@ -37,8 +39,8 @@ from tracemoments.closedform import (
 from tracemoments.enumeration import (
     CostGuardError,
     _census_block,
-    _rotation_orbits,
     _set_partitions,
+    _white_ordered_tuples,
     census_by_seed,
     census_double,
     census_sprouting,
@@ -49,7 +51,6 @@ from tracemoments.enumeration import (
     exact_trace_moment,
     inner_weight_sum,
     inner_weight_sum_affine,
-    iter_route_pairs,
     signature_census,
 )
 from tracemoments.graphs import (
@@ -459,7 +460,7 @@ def test_exact_trace_moment_visits_each_partition_pair_once(l, monkeypatch):
     ids=[f"l={l}" for l in range(1, 7)],
 )
 def test_census_by_seed_matches_route_pair_reference(l, bs):
-    # one representative per rotation orbit against every labelled route pair
+    # one representative per relabelling class against every labelled route pair
     for b in bs:
         got = census_by_seed(l, b, allow_large=True)
         assert got == reference_census_by_seed(l, b), (l, b)
@@ -478,8 +479,8 @@ def test_census_double_matches_route_pair_reference(cases, orbit_cases):
     for l1, l2, b in cases:
         got = census_double(l1, l2, b, allow_large=True)
         assert got == reference_census_double(l1, l2, b), (l1, l2, b)
-    # the census that trimmed one route quadruple at a time, at sizes where
-    # every labelled quadruple would take too long
+    # the census that trims one route quadruple per rotation orbit, at sizes
+    # where every labelled quadruple would take too long
     for l1, l2, b in orbit_cases:
         got = census_double(l1, l2, b, allow_large=True)
         assert got == reference_orbit_census_double(l1, l2, b), (l1, l2, b)
@@ -489,8 +490,50 @@ def _rotate(route):
     return route[1:] + route[:1]
 
 
+def _canonical_relabelling(i, k):
+    """(i, k) with its labels renamed 1, 2, ... in order of first appearance
+    in i, then in k.  i covers the black labels [b] and k alone holds white
+    ones, so each label keeps its colour."""
+    names = {}
+    for v in i + k:
+        names.setdefault(v, len(names) + 1)
+    return tuple(names[v] for v in i), tuple(names[v] for v in k)
+
+
+def test_buckets_are_invariant_under_colour_preserving_relabelling():
+    # both seed-class censuses visit one route pair per relabelling class,
+    # (restricted growth string, white labels in order), and count it
+    # b! (r-b)! times: each class meets that set once and has that size
+    clear_caches()
+    for l in range(1, 5):
+        for b in range(1, l + 1):
+            representatives = Counter()
+            for i, k in iter_route_pairs(l, l, b):
+                seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
+                ci, ck = _canonical_relabelling(i, k)
+                representatives[ci, ck] += 1
+                canonical = classify_leaf_free_route(trim_route(zip_routes(ci, ck)))
+                assert canonical == seed_class, (i, k)
+            assert set(representatives) == set(
+                product(_set_partitions(l)[b], _white_ordered_tuples(l, l, b))
+            ), (l, b)
+            assert set(representatives.values()) == {factorial(b) * factorial(l - b)}
+    for total in range(2, 5):
+        for l1 in range(1, total):
+            for b in range(1, total + 1):
+                for i, k, j, m in split_route_pairs(l1, total - l1, total, b):
+                    ij, km = _canonical_relabelling(i + j, k + m)
+                    assert double_bucket(i, k, j, m, b, trim_double) == double_bucket(
+                        ij[:l1], km[:l1], ij[l1:], km[l1:], b, trim_double
+                    ), (i, k, j, m)
+    assert _white_ordered_tuples.cache_info().currsize > 0
+    clear_caches()
+    assert _white_ordered_tuples.cache_info().currsize == 0
+
+
 def test_seed_classes_are_rotation_invariant():
-    # the orbit reduction of both censuses rests on these invariances
+    # reference_orbit_census_double, the independent reference for
+    # census_double at l1+l2 = 5, rests on these invariances
     for l in range(1, 5):
         for b in range(1, l + 1):
             for i, k in iter_route_pairs(l, l, b):
@@ -511,17 +554,13 @@ def test_seed_classes_are_rotation_invariant():
 
 
 def test_rotation_orbits_partition_the_surjections():
-    clear_caches()
     for lengths, b in [((4,), 2), ((2, 2), 2), ((1, 3), 3), ((3, 1), 1)]:
-        orbits = _rotation_orbits(lengths, b)
+        orbits = rotation_orbits(lengths, b)
         assert sum(size for _, size in orbits) == len(
             list(surjective_routes(sum(lengths), b))
         )
-    assert _rotation_orbits((4,), 2) == ((((1, 1, 1, 2), 4), ((1, 1, 2, 2), 4),
-                                         ((1, 2, 1, 2), 2), ((1, 2, 2, 2), 4)))
-    assert _rotation_orbits.cache_info().currsize == 4
-    clear_caches()
-    assert _rotation_orbits.cache_info().currsize == 0
+    assert rotation_orbits((4,), 2) == ((((1, 1, 1, 2), 4), ((1, 1, 2, 2), 4),
+                                        ((1, 2, 1, 2), 2), ((1, 2, 2, 2), 4)))
 
 
 def test_census_double_rejects_empty_walks():

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import canonical_patterns, split_route_pairs, surjective_routes
+from helpers import (
+    canonical_patterns,
+    iter_route_pairs,
+    split_route_pairs,
+    surjective_routes,
+)
 from tracemoments.graphs import (
     balanced_leaf_labels,
     build_double_graph,
@@ -221,7 +226,6 @@ def test_weight_classification_law_full_space(l):
 def test_weight_classification_law_l5_prefix_blacks():
     # at l = 5 sweep the canonical black-prefix representatives; weight and
     # seed class are invariant under relabelling away from balanced trees
-    from tracemoments.enumeration import iter_route_pairs
 
     # every route is zipped, trimmed, classified and checked; both weights
     # are computed once per distinct (sorted exponents, seed class)
