@@ -29,11 +29,7 @@ from .weights import AffineAlpha, MomentSequence, preset_alpha, preset_moments
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to status 2
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(ValueError):
-    pass
+        raise ValueError(message)
 
 
 def _frac(x: Fraction | int) -> str:
@@ -53,22 +49,22 @@ def _rational(text: str, name: str) -> Fraction:
 
 
 def _resolve_alpha(args) -> Fraction | None:
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         return _rational(args.alpha, "fourth moment")
-    if getattr(args, "dist", None) is not None:
+    if args.dist is not None:
         return preset_alpha(args.dist)
     return None
 
 
 def _resolve_moments(args, order: int) -> MomentSequence:
-    if getattr(args, "moments", None) is not None:
+    if args.moments is not None:
         moments = MomentSequence.parse(args.moments)
         if moments.order < order:
             raise ValueError(
                 f"moment list covers order {moments.order}, need {order}"
             )
         return moments
-    if getattr(args, "dist", None) is not None:
+    if args.dist is not None:
         return preset_moments(args.dist, max(4, order))
     raise ValueError("provide --dist or --moments")
 
@@ -367,9 +363,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the reader of standard output is gone: exit 1 quietly, with the
         # stream pointed at devnull so that the flush at shutdown cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

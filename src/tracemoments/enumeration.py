@@ -15,7 +15,11 @@ The seed-class censuses trim labelled walks, whose label order matters, so
 they keep the labels.  Their buckets depend on the walk's shape and colours,
 not on which label of a colour is which, so they visit one route pair per
 class of colour-preserving relabellings, weighted by the class size
-b! (r-b)!.  The labels two walks share never change while the double walk
+b! (r-b)!.  Both kinds of census draw their strings from one generator,
+_label_strings(length, b): strings whose labels above b first appear in
+increasing order, labels 1..b being free.  At b = 0 these are the set
+partitions; at the black count b they are the class representatives of the
+columns k.  The labels two walks share never change while the double walk
 trims, so the double census trims each side once per (walk, shared labels)
 and joins the two sides' results.  Partial sums are exact rationals, so any
 reduction order gives identical results.
@@ -23,7 +27,6 @@ reduction order gives identical results.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,23 +78,34 @@ def _check_guard(value: int, limit: int, allow_large: bool, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical route pairs
+# label strings
 
 
 @lru_cache(maxsize=None)
-def _covering_tuples(length: int, r: int, b: int) -> tuple[Route, ...]:
-    """All tuples in [r]^length containing every label in {b+1..r}.
+def _label_strings(length: int, b: int) -> tuple[tuple[Route, ...], ...]:
+    """Label strings of `length` positions with labels 1..b free, by new labels.
 
-    With b = 0 these are the surjections onto [r].
+    Entry w holds, in lexicographic order, the strings over [b+w] in which
+    every label of b+1..b+w appears, first appearing in increasing order:
+    one string per orbit under permutations of those w labels.  With b = 0
+    these are the set partitions of the positions as restricted growth
+    strings, entry w holding those with w blocks.
     """
-    needed = set(range(b + 1, r + 1))
-    if len(needed) > length:
-        return ()
-    return tuple(
-        t
-        for t in itertools.product(range(1, r + 1), repeat=length)
-        if needed.issubset(t)
-    )
+    strings = [((), b)]  # (string, its top label), in lexicographic order
+    for _ in range(length):
+        strings = [
+            (string + (v,), v if v > top else top)
+            for string, top in strings
+            for v in range(1, top + 2)
+        ]
+    by_new: list[list[Route]] = [[] for _ in range(length + 1)]
+    for string, top in strings:
+        by_new[top - b].append(string)
+    return tuple(map(tuple, by_new))
+
+
+# ---------------------------------------------------------------------------
+# the signature census and its weighted inner sums
 
 
 def _validate_pair_params(l: int, r: int, b: int) -> None:
@@ -101,31 +115,6 @@ def _validate_pair_params(l: int, r: int, b: int) -> None:
         raise ValueError(f"b={b} exceeds min(l, r)={min(l, r)}")
     if r > 2 * l:
         raise ValueError(f"r={r} exceeds 2l={2 * l}")
-
-
-@lru_cache(maxsize=None)
-def _white_ordered_tuples(length: int, r: int, b: int) -> tuple[Route, ...]:
-    """The tuples of _covering_tuples(length, r, b) whose white labels
-    b+1, b+2, ... first appear in increasing order.
-
-    Each orbit of the covering tuples under permutations of the white labels
-    {b+1..r} holds exactly one of them.
-    """
-    ordered = []
-    for t in _covering_tuples(length, r, b):
-        new = b + 1
-        for v in t:
-            if v == new:
-                new += 1
-            elif v > new:
-                break
-        else:
-            ordered.append(t)
-    return tuple(ordered)
-
-
-# ---------------------------------------------------------------------------
-# the signature census and its weighted inner sums
 
 
 def _walk_counts(i: Route, k: Route) -> dict[tuple[int, int], int]:
@@ -142,31 +131,9 @@ def _walk_counts(i: Route, k: Route) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _set_partitions(length: int) -> tuple[tuple[Route, ...], ...]:
-    """Set partitions of `length` positions as restricted growth strings.
-
-    Each string labels its blocks 1, 2, ... in order of first occurrence;
-    entry s holds the strings with s blocks.
-    """
-    by_blocks: list[list[Route]] = [[] for _ in range(length + 1)]
-
-    def grow(prefix: list[int], blocks: int) -> None:
-        if len(prefix) == length:
-            by_blocks[blocks].append(tuple(prefix))
-            return
-        for v in range(1, blocks + 2):
-            prefix.append(v)
-            grow(prefix, max(blocks, v))
-            prefix.pop()
-
-    grow([], 0)
-    return tuple(tuple(strings) for strings in by_blocks)
-
-
-@lru_cache(maxsize=None)
 def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
     """Partition pairs (pi, sigma) with |pi| = b and |sigma| = s, by signature."""
-    partitions = _set_partitions(sum(lengths))
+    partitions = _label_strings(sum(lengths), 0)
     rows, columns = partitions[b], partitions[s]
     block: Counter = Counter()
     if len(lengths) == 1:
@@ -381,17 +348,17 @@ def census_by_seed(
     themselves keeps the class: every black label is below every white one,
     so the lowest-label-first trim only reorders leaves of one colour.  Each
     walk visits every label, so the b! (l-b)! relabellings of a pair are
-    distinct; one pair per class is visited, i a restricted growth string and
-    k with its white labels in order of first appearance, and counted that
-    many times.
+    distinct; one pair per class is visited and counted that many times: i
+    from _label_strings(l, 0), its labels in order, and k from
+    _label_strings(l, b), its white labels in order.
     """
     if not 1 <= b <= l:
         raise ValueError(f"need 1 <= b <= l, got b={b}, l={l}")
     _check_guard(l, CENSUS_VERTEX_LIMIT, allow_large, "l")
-    ks = _white_ordered_tuples(l, l, b)
+    ks = _label_strings(l, b)[l - b]
     class_size = factorial(b) * factorial(l - b)
     buckets: dict[SeedClass, int] = {}
-    for i in _set_partitions(l)[b]:
+    for i in _label_strings(l, 0)[b]:
         for k in ks:
             seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
             buckets[seed_class] = buckets.get(seed_class, 0) + class_size
@@ -476,9 +443,8 @@ def census_double(
     component's share of the seed.  The route quadruples (i, k, j, m) are
     the route pairs (ij, km) of census_by_seed at length l1+l2, split after
     l1.  As there, a colour-preserving relabelling keeps the bucket, so one
-    quadruple per class is visited, ij a restricted growth string and km
-    with its white labels in order of first appearance, and counted
-    b! (l1+l2-b)! times.
+    quadruple per class is visited and counted b! (l1+l2-b)! times: ij from
+    _label_strings(l1+l2, 0) and km from _label_strings(l1+l2, b).
 
     Trimming never changes the labels the two walks share, so each walk
     trims on its own with them held.  Per ij, each side keeps a table of
@@ -496,7 +462,7 @@ def census_double(
     seconds: dict[Route, int] = {}
     rows1: list[int] = []
     rows2: list[int] = []
-    for km in _white_ordered_tuples(r, r, b):
+    for km in _label_strings(r, b)[r - b]:
         rows1.append(firsts.setdefault(km[:l1], len(firsts)))
         rows2.append(seconds.setdefault(km[l1:], len(seconds)))
     ks, ms = tuple(firsts), tuple(seconds)
@@ -504,7 +470,7 @@ def census_double(
     classes: dict[tuple[Route, Route], SeedClass] = {}
     class_size = factorial(b) * factorial(r - b)
     buckets: dict[DoubleBucket, int] = {}
-    for ij in _set_partitions(r)[b]:
+    for ij in _label_strings(r, 0)[b]:
         side1 = _SideTable(ij[:l1], ks, blacks)
         side2 = _SideTable(ij[l1:], ms, blacks)
         masks1, keys1, memo1 = side1.masks, side1.keys, side1.memo
@@ -594,6 +560,4 @@ def census_sprouting(
 def clear_caches() -> None:
     """Drop memoized enumerations (mostly useful in long-lived sessions)."""
     _census_block.cache_clear()
-    _set_partitions.cache_clear()
-    _white_ordered_tuples.cache_clear()
-    _covering_tuples.cache_clear()
+    _label_strings.cache_clear()

@@ -330,10 +330,6 @@ class CircuitMultigraph:
     def _seed_route_raw(self) -> Route:
         return trim_route(self.route)
 
-    def seed_route_original_labels(self) -> Route:
-        """Seed route before label compaction (useful to relate seed and host)."""
-        return self._seed_route_raw
-
     def seed(self) -> "CircuitMultigraph":
         return CircuitMultigraph(compact_labels(self._seed_route_raw))
 

@@ -25,6 +25,7 @@ from helpers import (
     rotation_orbits,
     split_route_pairs,
     surjective_routes,
+    white_ordered_routes,
 )
 from tracemoments import enumeration
 from tracemoments.closedform import (
@@ -39,8 +40,7 @@ from tracemoments.closedform import (
 from tracemoments.enumeration import (
     CostGuardError,
     _census_block,
-    _set_partitions,
-    _white_ordered_tuples,
+    _label_strings,
     census_by_seed,
     census_double,
     census_sprouting,
@@ -408,18 +408,31 @@ def test_signature_census_matches_route_pair_reference(keys):
         assert signature_census(*key) == reference_signature_census(*key), key
 
 
+def test_label_strings_are_the_white_ordered_routes():
+    # entry w of _label_strings(length, b), against a filter of all of
+    # [b+w]^length, as sequences: dict and census order rest on it
+    for length in range(1, 7):
+        for b in range(length + 1):
+            strings = _label_strings(length, b)
+            assert len(strings) == length + 1
+            for w in range(length + 1):
+                assert strings[w] == white_ordered_routes(length, b + w, b), (
+                    length, b, w
+                )
+
+
 def test_census_blocks_are_memoized_per_lengths_b_s():
     clear_caches()
     census = signature_census((2, 1), 3, 2)
-    assert _set_partitions.cache_info().currsize == 1
+    assert _label_strings.cache_info().currsize == 1
     assert sum(census.values()) == len(list(split_route_pairs(2, 1, 3, 2)))
     # r = 3, b = 2 merges the blocks s = 1, 2, 3 of (2, 1); each block holds
     # every pair (pi, sigma) with |pi| = 2 and |sigma| = s once
     assert _census_block.cache_info().currsize == 3
     for s in (1, 2, 3):
         block = _census_block((2, 1), 2, s)
-        assert sum(block.values()) == len(_set_partitions(3)[2]) * len(
-            _set_partitions(3)[s]
+        assert sum(block.values()) == len(_label_strings(3, 0)[2]) * len(
+            _label_strings(3, 0)[s]
         )
     # a second r for the same (lengths, b) reuses the blocks s = 2, 3 it admits
     hits = _census_block.cache_info().hits
@@ -436,7 +449,7 @@ def test_census_blocks_are_memoized_per_lengths_b_s():
     clear_caches()
     assert _census_block.cache_info().currsize == 0
     # the partition strings go too, so the next census starts cold
-    assert _set_partitions.cache_info().currsize == 0
+    assert _label_strings.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("l", [4, 5])
@@ -515,7 +528,7 @@ def test_buckets_are_invariant_under_colour_preserving_relabelling():
                 canonical = classify_leaf_free_route(trim_route(zip_routes(ci, ck)))
                 assert canonical == seed_class, (i, k)
             assert set(representatives) == set(
-                product(_set_partitions(l)[b], _white_ordered_tuples(l, l, b))
+                product(_label_strings(l, 0)[b], _label_strings(l, b)[l - b])
             ), (l, b)
             assert set(representatives.values()) == {factorial(b) * factorial(l - b)}
     for total in range(2, 5):
@@ -526,9 +539,9 @@ def test_buckets_are_invariant_under_colour_preserving_relabelling():
                     assert double_bucket(i, k, j, m, b, trim_double) == double_bucket(
                         ij[:l1], km[:l1], ij[l1:], km[l1:], b, trim_double
                     ), (i, k, j, m)
-    assert _white_ordered_tuples.cache_info().currsize > 0
+    assert _label_strings.cache_info().currsize > 0
     clear_caches()
-    assert _white_ordered_tuples.cache_info().currsize == 0
+    assert _label_strings.cache_info().currsize == 0
 
 
 def test_seed_classes_are_rotation_invariant():

@@ -224,8 +224,9 @@ def test_weight_classification_law_full_space(l):
 
 
 def test_weight_classification_law_l5_prefix_blacks():
-    # at l = 5 sweep the canonical black-prefix representatives; weight and
-    # seed class are invariant under relabelling away from balanced trees
+    # at l = 5, every labelled route pair (i, k) on exactly 5 vertices with
+    # black labels [b], for b = 1..5: i covers [b] exactly, k covers the
+    # white labels [5]\[b], with no reduction by relabelling or rotation
 
     # every route is zipped, trimmed, classified and checked; both weights
     # are computed once per distinct (sorted exponents, seed class)
