@@ -4,25 +4,32 @@ A walk's weight depends only on the multiset of its reversed-adjacency
 exponents, so means and covariances alike count route pairs by exponent
 signature.  The signature depends only on which row positions and which
 column positions share a label, so the census runs over pairs (pi, sigma) of
-set partitions of the positions.  Each pair is visited once, in a block
-memoized per (lengths, |pi|, |sigma|), and each vertex count r merges the
-blocks it admits, weighted by the number of labelled route pairs a pair
-stands for.  Since m_0 = 1, m_1 = 0 and m_2 = 1, a signature is a
-moment monomial, so every inner sum is an exact polynomial in the moments:
-evaluated with one weighing per monomial, or read off as an affine function
-of the fourth moment, with a check that no other monomial carries weight.
+set partitions of the positions, in blocks memoized per (lengths, |pi|,
+|sigma|), and each vertex count r merges the blocks it admits, weighted by
+the number of labelled route pairs a pair stands for.  Since m_0 = 1, m_1 = 0
+and m_2 = 1, a signature is a moment monomial, so every inner sum is an exact
+polynomial in the moments: evaluated with one weighing per monomial, or read
+off as an affine function of the fourth moment, with a check that no other
+monomial carries weight.
 The seed-class censuses trim labelled walks, whose label order matters, so
 they keep the labels.  Their buckets depend on the walk's shape and colours,
 not on which label of a colour is which, so they visit one route pair per
 class of colour-preserving relabellings, weighted by the class size
 b! (r-b)!.  Both kinds of census draw their strings from one generator,
-_label_strings(length, b): strings whose labels above b first appear in
+_label_strings(length, b, w): strings whose w labels above b first appear in
 increasing order, labels 1..b being free.  At b = 0 these are the set
 partitions; at the black count b they are the class representatives of the
-columns k.  The labels two walks share never change while the double walk
-trims, so the double census trims each side once per (walk, shared labels)
-and joins the two sides' results.  Partial sums are exact rationals, so any
-reduction order gives identical results.
+columns k.
+A closed walk's signature, seed class and double bucket do not depend on
+where each walk starts, so every census visits one row (pi, or i) per orbit
+of rotating each walk's positions, _row_orbits, weighted by the orbit size,
+against every column.  Rotating both strings of one walk and renaming
+labels back in order maps the visited pairs onto themselves and, for a fixed
+row, the columns one to one, so every row of an orbit has the same column
+sum.  The labels two walks share never change while the double walk trims,
+so the double census trims each side once per (walk, shared labels) and
+joins the two sides' results.  Partial sums are exact integers and
+rationals, so any reduction order gives identical results.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, perm
 from typing import Callable, Iterable, Sequence
 
@@ -82,26 +90,71 @@ def _check_guard(value: int, limit: int, allow_large: bool, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _label_strings(length: int, b: int) -> tuple[tuple[Route, ...], ...]:
-    """Label strings of `length` positions with labels 1..b free, by new labels.
+def _label_strings(length: int, b: int, w: int) -> tuple[Route, ...]:
+    """Label strings of `length` positions with labels 1..b free and w new ones.
 
-    Entry w holds, in lexicographic order, the strings over [b+w] in which
-    every label of b+1..b+w appears, first appearing in increasing order:
-    one string per orbit under permutations of those w labels.  With b = 0
-    these are the set partitions of the positions as restricted growth
-    strings, entry w holding those with w blocks.
+    The strings over [b+w], in lexicographic order, in which every label of
+    b+1..b+w appears, first appearing in increasing order: one string per
+    orbit under permutations of those w labels.  With b = 0 these are the set
+    partitions of the positions into w blocks as restricted growth strings.
+    A string stops growing once it can no longer bring in all w labels.
     """
+    last = b + w
+    if not 0 <= w <= length:
+        return ()
     strings = [((), b)]  # (string, its top label), in lexicographic order
-    for _ in range(length):
+    for left in reversed(range(length)):  # positions after the one grown
+        # any label up to the next new one, if one is left to bring in; only
+        # the next new one when every position left must bring one in
         strings = [
             (string + (v,), v if v > top else top)
             for string, top in strings
-            for v in range(1, top + 2)
+            for v in (
+                range(1, min(top, last - 1) + 2) if last - top <= left else (top + 1,)
+            )
         ]
-    by_new: list[list[Route]] = [[] for _ in range(length + 1)]
-    for string, top in strings:
-        by_new[top - b].append(string)
-    return tuple(map(tuple, by_new))
+    return tuple(string for string, _ in strings)
+
+
+@lru_cache(maxsize=None)
+def _row_orbits(lengths: tuple[int, ...], b: int) -> tuple[tuple[Route, int], ...]:
+    """The rows _label_strings(sum(lengths), 0, b), one per rotation orbit.
+
+    A row is cut into one segment per walk.  A step rotates one segment by
+    one position and renames the labels in order of first appearance, so
+    the orbits are those of the set partitions under rotating each walk's
+    positions.  Each orbit is given as (its first row, its size).
+    """
+    rows = _label_strings(sum(lengths), 0, b)
+    # a lone row (b = 1 or b = sum(lengths)) is its own orbit; stepping it
+    # would cost more than the small censuses that ask for it
+    if len(rows) == 1:
+        return ((rows[0], 1),)
+    segments = tuple(zip(accumulate(lengths, initial=0), accumulate(lengths)))
+    seen: set[Route] = set()
+    orbits: list[tuple[Route, int]] = []
+    for row in rows:
+        if row in seen:
+            continue
+        seen.add(row)
+        orbit = [row]
+        for string in orbit:  # orbits are disjoint: an unseen step is new here
+            for start, end in segments:
+                step = _first_appearance(
+                    string[:start] + string[start + 1 : end]
+                    + string[start : start + 1] + string[end:]
+                )
+                if step not in seen:
+                    seen.add(step)
+                    orbit.append(step)
+        orbits.append((row, len(orbit)))
+    return tuple(orbits)
+
+
+def _first_appearance(string: Route) -> Route:
+    """`string` with its labels renamed 1, 2, ... in order of first appearance."""
+    names: dict[int, int] = {}
+    return tuple([names.setdefault(v, len(names) + 1) for v in string])
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +185,23 @@ def _walk_counts(i: Route, k: Route) -> dict[tuple[int, int], int]:
 
 @lru_cache(maxsize=None)
 def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
-    """Partition pairs (pi, sigma) with |pi| = b and |sigma| = s, by signature."""
-    partitions = _label_strings(sum(lengths), 0)
-    rows, columns = partitions[b], partitions[s]
+    """Partition pairs (pi, sigma) with |pi| = b and |sigma| = s, by signature.
+
+    One pi per rotation orbit is visited against every sigma, counted once
+    for each pi of its orbit.
+    """
+    rows = _row_orbits(lengths, b)
+    columns = _label_strings(sum(lengths), 0, s)
     block: Counter = Counter()
     if len(lengths) == 1:
         for k in columns:
-            for i in rows:
-                block[tuple(sorted(_walk_counts(i, k).values()))] += 1
+            for i, size in rows:
+                block[tuple(sorted(_walk_counts(i, k).values()))] += size
     else:
         l1 = lengths[0]
         for km in columns:
             k, m = km[:l1], km[l1:]
-            for ij in rows:
+            for ij, size in rows:
                 first = _walk_counts(ij[:l1], k)
                 second = _walk_counts(ij[l1:], m)
                 joint = dict(first)
@@ -154,7 +211,7 @@ def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
                     tuple(sorted(joint.values())),
                     tuple(sorted(first.values())),
                     tuple(sorted(second.values())),
-                )] += 1
+                )] += size
     return block
 
 
@@ -173,7 +230,10 @@ def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
     blocks with [b] in any order, and k gives the r-b labels of [r]\\[b] to
     distinct blocks of sigma and distinct labels of [b] to the rest.  The
     pairs are counted once per (lengths, b, s), in memoized blocks that every
-    r with r - b <= s <= r merges with its own multiplicity.
+    r with r - b <= s <= r merges with its own multiplicity.  Rotating a
+    walk's positions keeps its signature, so a block visits one pi per
+    rotation orbit (at l = 5, 12 of the 52 partitions) against every sigma
+    and counts it once per pi of the orbit.
     """
     if len(lengths) not in (1, 2):
         raise ValueError(f"need one or two walk lengths, got {lengths}")
@@ -348,20 +408,25 @@ def census_by_seed(
     themselves keeps the class: every black label is below every white one,
     so the lowest-label-first trim only reorders leaves of one colour.  Each
     walk visits every label, so the b! (l-b)! relabellings of a pair are
-    distinct; one pair per class is visited and counted that many times: i
-    from _label_strings(l, 0), its labels in order, and k from
-    _label_strings(l, b), its white labels in order.
+    distinct; one pair per class is counted that many times: i from
+    _label_strings(l, 0, b), its labels in order, and k from
+    _label_strings(l, b, l - b), its white labels in order.  Rotating i and
+    k together keeps the class too, and maps the pairs of one i onto those
+    of its rotation, relabelled, one to one; so only one i per rotation
+    orbit (_row_orbits) is trimmed against every k, counted for the whole
+    orbit.
     """
     if not 1 <= b <= l:
         raise ValueError(f"need 1 <= b <= l, got b={b}, l={l}")
     _check_guard(l, CENSUS_VERTEX_LIMIT, allow_large, "l")
-    ks = _label_strings(l, b)[l - b]
+    ks = _label_strings(l, b, l - b)
     class_size = factorial(b) * factorial(l - b)
     buckets: dict[SeedClass, int] = {}
-    for i in _label_strings(l, 0)[b]:
+    for i, size in _row_orbits((l,), b):
+        weight = class_size * size
         for k in ks:
             seed_class = classify_leaf_free_route(trim_route(zip_routes(i, k)))
-            buckets[seed_class] = buckets.get(seed_class, 0) + class_size
+            buckets[seed_class] = buckets.get(seed_class, 0) + weight
     return buckets
 
 
@@ -443,8 +508,13 @@ def census_double(
     component's share of the seed.  The route quadruples (i, k, j, m) are
     the route pairs (ij, km) of census_by_seed at length l1+l2, split after
     l1.  As there, a colour-preserving relabelling keeps the bucket, so one
-    quadruple per class is visited and counted b! (l1+l2-b)! times: ij from
-    _label_strings(l1+l2, 0) and km from _label_strings(l1+l2, b).
+    quadruple per class is counted b! (l1+l2-b)! times: ij from
+    _label_strings(l1+l2, 0, b) and km from _label_strings(l1+l2, b, l1+l2-b).
+    Rotating (i, k) or (j, m) keeps the bucket, so only one ij per orbit of
+    rotating each walk (_row_orbits) is visited, counted for the whole
+    orbit.  Running one walk backwards does not keep it (two 2-walks round
+    one 4-cycle form a double 1-D ring, or a 2-D ring when one is reversed),
+    so reversal is not used.
 
     Trimming never changes the labels the two walks share, so each walk
     trims on its own with them held.  Per ij, each side keeps a table of
@@ -462,7 +532,7 @@ def census_double(
     seconds: dict[Route, int] = {}
     rows1: list[int] = []
     rows2: list[int] = []
-    for km in _label_strings(r, b)[r - b]:
+    for km in _label_strings(r, b, r - b):
         rows1.append(firsts.setdefault(km[:l1], len(firsts)))
         rows2.append(seconds.setdefault(km[l1:], len(seconds)))
     ks, ms = tuple(firsts), tuple(seconds)
@@ -470,7 +540,7 @@ def census_double(
     classes: dict[tuple[Route, Route], SeedClass] = {}
     class_size = factorial(b) * factorial(r - b)
     buckets: dict[DoubleBucket, int] = {}
-    for ij in _label_strings(r, 0)[b]:
+    for ij, size in _row_orbits((l1, l2), b):
         side1 = _SideTable(ij[:l1], ks, blacks)
         side2 = _SideTable(ij[l1:], ms, blacks)
         masks1, keys1, memo1 = side1.masks, side1.keys, side1.memo
@@ -498,7 +568,7 @@ def census_double(
                         ring1, ring2
                     )
             key = (seed_class, (black1, black2, white1, white2))
-            buckets[key] = buckets.get(key, 0) + class_size * count
+            buckets[key] = buckets.get(key, 0) + class_size * size * count
     return buckets
 
 
@@ -561,3 +631,4 @@ def clear_caches() -> None:
     """Drop memoized enumerations (mostly useful in long-lived sessions)."""
     _census_block.cache_clear()
     _label_strings.cache_clear()
+    _row_orbits.cache_clear()

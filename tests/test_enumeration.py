@@ -41,6 +41,7 @@ from tracemoments.enumeration import (
     CostGuardError,
     _census_block,
     _label_strings,
+    _row_orbits,
     census_by_seed,
     census_double,
     census_sprouting,
@@ -58,6 +59,7 @@ from tracemoments.graphs import (
     build_double_graph,
     classify_leaf_free_route,
     compact_labels,
+    double_one_d_ring,
     double_two_d_ring,
     trim_double,
     trim_route,
@@ -409,30 +411,79 @@ def test_signature_census_matches_route_pair_reference(keys):
 
 
 def test_label_strings_are_the_white_ordered_routes():
-    # entry w of _label_strings(length, b), against a filter of all of
-    # [b+w]^length, as sequences: dict and census order rest on it
+    # _label_strings(length, b, w), against a filter of all of [b+w]^length,
+    # as sequences: dict and census order rest on it
     for length in range(1, 7):
         for b in range(length + 1):
-            strings = _label_strings(length, b)
-            assert len(strings) == length + 1
             for w in range(length + 1):
-                assert strings[w] == white_ordered_routes(length, b + w, b), (
-                    length, b, w
-                )
+                assert _label_strings(length, b, w) == white_ordered_routes(
+                    length, b + w, b
+                ), (length, b, w)
+    assert _label_strings(3, 1, 4) == ()
+
+
+def _rotate_walk(row, lengths, walk):
+    """`row` with the segment of walk `walk` rotated by one position and its
+    labels renamed 1, 2, ... in order of first appearance."""
+    start = sum(lengths[:walk])
+    end = start + lengths[walk]
+    rotated = row[:start] + row[start + 1 : end] + row[start : start + 1] + row[end:]
+    names = {}
+    return tuple(names.setdefault(v, len(names) + 1) for v in rotated)
+
+
+def test_row_orbits_are_the_rotation_orbits_of_the_rows():
+    # every census weighs one row per orbit by the orbit size, so the orbits
+    # must partition the rows and be closed under rotating any one walk
+    shapes = [(l,) for l in range(1, 7)] + [
+        (l1, total - l1) for total in range(2, 6) for l1 in range(1, total)
+    ]
+    for lengths in shapes:
+        total = sum(lengths)
+        for b in range(1, total + 1):
+            rows = _label_strings(total, 0, b)
+            orbits = _row_orbits(lengths, b)
+            assert sum(size for _, size in orbits) == len(rows), (lengths, b)
+            expected, seen = [], set()
+            for row in rows:
+                if row in seen:
+                    continue
+                orbit, frontier = {row}, [row]
+                while frontier:
+                    current = frontier.pop()
+                    for walk in range(len(lengths)):
+                        stepped = _rotate_walk(current, lengths, walk)
+                        if stepped not in orbit:
+                            orbit.add(stepped)
+                            frontier.append(stepped)
+                seen |= orbit
+                expected.append((row, len(orbit)))
+            assert orbits == tuple(expected), (lengths, b)
+    assert _row_orbits((4,), 2) == (
+        ((1, 1, 1, 2), 4), ((1, 1, 2, 2), 2), ((1, 2, 1, 2), 1)
+    )
+    # two walks of length 2 rotate on their own: 1212 and 1221 share an orbit
+    assert _row_orbits((2, 2), 2) == (
+        ((1, 1, 1, 2), 2), ((1, 1, 2, 2), 1), ((1, 2, 1, 1), 2), ((1, 2, 1, 2), 2)
+    )
 
 
 def test_census_blocks_are_memoized_per_lengths_b_s():
     clear_caches()
     census = signature_census((2, 1), 3, 2)
-    assert _label_strings.cache_info().currsize == 1
+    # the strings of 3 positions with w = 1, 2, 3 blocks, and the orbits of
+    # the rows, w = 2
+    assert _label_strings.cache_info().currsize == 3
+    assert _row_orbits.cache_info().currsize == 1
     assert sum(census.values()) == len(list(split_route_pairs(2, 1, 3, 2)))
     # r = 3, b = 2 merges the blocks s = 1, 2, 3 of (2, 1); each block holds
-    # every pair (pi, sigma) with |pi| = 2 and |sigma| = s once
+    # every pair (pi, sigma) with |pi| = 2 and |sigma| = s, weighed by pi's
+    # rotation orbit
     assert _census_block.cache_info().currsize == 3
     for s in (1, 2, 3):
         block = _census_block((2, 1), 2, s)
-        assert sum(block.values()) == len(_label_strings(3, 0)[2]) * len(
-            _label_strings(3, 0)[s]
+        assert sum(block.values()) == len(_label_strings(3, 0, 2)) * len(
+            _label_strings(3, 0, s)
         )
     # a second r for the same (lengths, b) reuses the blocks s = 2, 3 it admits
     hits = _census_block.cache_info().hits
@@ -448,12 +499,14 @@ def test_census_blocks_are_memoized_per_lengths_b_s():
     assert _census_block.cache_info().currsize == 9
     clear_caches()
     assert _census_block.cache_info().currsize == 0
-    # the partition strings go too, so the next census starts cold
+    # the partition strings and their orbits go too, so the next census
+    # starts cold
     assert _label_strings.cache_info().currsize == 0
+    assert _row_orbits.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("l", [4, 5])
-def test_exact_trace_moment_visits_each_partition_pair_once(l, monkeypatch):
+def test_exact_trace_moment_visits_one_row_per_rotation_orbit(l, monkeypatch):
     walk_counts = enumeration._walk_counts
     calls = []
 
@@ -464,8 +517,9 @@ def test_exact_trace_moment_visits_each_partition_pair_once(l, monkeypatch):
     monkeypatch.setattr(enumeration, "_walk_counts", counted)
     clear_caches()
     exact_trace_moment(l, 50, 100, preset_moments("gaussian", 2 * l), allow_large=True)
-    bell = {4: 15, 5: 52}[l]
-    assert len(calls) == bell**2
+    # every column, Bell(l) of them, against one row per rotation orbit of the
+    # set partitions of l positions: 7 at l = 4 and 12 at l = 5
+    assert len(calls) == {4: 7 * 15, 5: 12 * 52}[l]
 
 
 @pytest.mark.parametrize(
@@ -528,7 +582,7 @@ def test_buckets_are_invariant_under_colour_preserving_relabelling():
                 canonical = classify_leaf_free_route(trim_route(zip_routes(ci, ck)))
                 assert canonical == seed_class, (i, k)
             assert set(representatives) == set(
-                product(_label_strings(l, 0)[b], _label_strings(l, b)[l - b])
+                product(_label_strings(l, 0, b), _label_strings(l, b, l - b))
             ), (l, b)
             assert set(representatives.values()) == {factorial(b) * factorial(l - b)}
     for total in range(2, 5):
@@ -545,8 +599,9 @@ def test_buckets_are_invariant_under_colour_preserving_relabelling():
 
 
 def test_seed_classes_are_rotation_invariant():
-    # reference_orbit_census_double, the independent reference for
-    # census_double at l1+l2 = 5, rests on these invariances
+    # census_by_seed and census_double, which visit one row per rotation
+    # orbit, and reference_orbit_census_double, the independent reference for
+    # census_double at l1+l2 = 5, rest on these invariances
     for l in range(1, 5):
         for b in range(1, l + 1):
             for i, k in iter_route_pairs(l, l, b):
@@ -564,6 +619,25 @@ def test_seed_classes_are_rotation_invariant():
                     assert bucket == double_bucket(
                         i, k, _rotate(j), _rotate(m), b, trim_double
                     ), (i, k, j, m)
+
+
+def _reverse_walk(i, k):
+    """The walk of (i, k) run backwards: i_t -> i_{-t}, k_t -> k_{-t-1}."""
+    return i[:1] + i[:0:-1], k[::-1]
+
+
+def test_reversing_one_walk_can_change_its_double_bucket():
+    # why census_double's row orbits use rotations only: two 2-walks along
+    # the same 4-cycle form a double 1-D ring; run one of them backwards and
+    # they form a double 2-D ring
+    i, k = j, m = (1, 2), (3, 4)
+    assert _reverse_walk(i, k) == ((1, 2), (4, 3))
+    assert double_bucket(i, k, j, m, 2, trim_double) == (
+        double_one_d_ring(4), (0, 0, 0, 0)
+    )
+    assert double_bucket(*_reverse_walk(i, k), j, m, 2, trim_double) == (
+        double_two_d_ring(4), (0, 0, 0, 0)
+    )
 
 
 def test_rotation_orbits_partition_the_surjections():
