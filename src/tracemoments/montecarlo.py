@@ -154,6 +154,8 @@ class _Buffers:
     own malloc arena, which keeps the pages of what the thread frees.
     - draws: gaussian chi-squares, the float32 or float64 entries otherwise;
     - gram: the rademacher Gram, in the entries' dtype;
+    - transposed: rademacher only, a contiguous copy of X^T, so that the Gram
+      is a product of two buffers (`_draw_batch`);
     - halves: the powers S .. S^top, in band storage for gaussian;
     - scratch: gaussian only, the band products of `_band_powers` and
       `_band_pair_trace`.
@@ -185,6 +187,7 @@ class _Buffers:
         }
         if distribution == "rademacher":
             layout["gram"] = (dtype, capacity * p * p)
+            layout["transposed"] = (dtype, capacity * n * p)
         return layout
 
     @classmethod
@@ -247,7 +250,11 @@ def _draw_batch(
       word at the end of each call, so a chunk continues the batch's stream
       only when it starts at a multiple of 4 bytes.  The Gram's
       entries and sums are integers of size at most n, exact in float32
-      while n < 2^24, so the product runs in float32 there.
+      while n < 2^24, so the product runs in float32 there.  It multiplies X
+      by a contiguous copy of X^T: numpy sends X times a view of itself to
+      BLAS syrk, which on stacks of small matrices runs no faster on two
+      threads than on one, and a product of two buffers to GEMM, which does.
+      Either way the integers are exact, so the Gram is the same.
     - uniform: the Gram X X^T of sqrt(3) (2 U - 1) per entry, taken as
       12 (U - 1/2)(U - 1/2)^T: U - 1/2 is exact in float64, so the entries
       take one pass and the scale one pass over the p x p Gram.
@@ -273,7 +280,9 @@ def _draw_batch(
         np.copyto(x, np.unpackbits(packed, axis=1, count=p * n).reshape(x.shape))
         x *= 2.0
         x -= 1.0
-        single = np.matmul(x, x.transpose(0, 2, 1), out=_view(buffers.gram, gram.shape))
+        xt = _view(buffers.transposed, (count, n, p))
+        np.copyto(xt, x.transpose(0, 2, 1))
+        single = np.matmul(x, xt, out=_view(buffers.gram, gram.shape))
         np.copyto(gram, single)
         return gram
     gen.random(out=x)
@@ -403,11 +412,13 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
 
     The keyed batches run on min(batches, usable cores) threads, the calling
     thread among them; numpy releases the interpreter lock in its draws and
-    products, so the threads run at once.  Each takes the next batch not yet
-    taken and writes its rows of the output, so the traces do not depend on
-    which thread draws which batch.  Each batch is drawn, multiplied out and
-    traced in chunks whose largest array holds about CHUNK_VALUES / threads
-    doubles, in buffers made once per call, so the working set stays in
+    products, so the threads can run at once, and gain where the kernels do
+    (not BLAS syrk on stacks of small matrices, which `_draw_batch` avoids
+    for rademacher).  Each takes the next batch not yet taken and writes its
+    rows of the output, so the traces do not depend on which thread draws
+    which batch.  Each batch is drawn, multiplied out and traced in chunks
+    whose largest array holds about CHUNK_VALUES / threads doubles, in
+    buffers made once per call, so the working set stays in
     cache and the memory a run uses grows with neither the batch nor the
     thread count.  The chunks continue the batch's stream, so the traces are
     those of drawing the batch whole.  For p > n the draw is transposed:
@@ -415,8 +426,9 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     A gaussian tridiagonal T is multiplied out in band storage, O(p k) work
     and memory for T^k; the Grams of the other distributions as dense
     matrices.
-    Raises MemoryError, before allocating, when the output and the threads'
-    buffers would take more than the machine's physical memory.
+    Raises MemoryError, before allocating, when the output, the threads'
+    buffers and the column of pair products of `simulate` would take more
+    than the machine's physical memory.
     Raises ValueError when a trace is not finite in double precision, for
     the first such power of the first such batch; an exception in any
     thread is raised here, once every thread has stopped.
@@ -440,7 +452,9 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     capacity = max(stop - start for cuts in edges.values() for start, stop in pairwise(cuts))
     # each of the arrays below succeeds lazily, so a run too large for the
     # machine would fail only once its pages are touched: refuse it first
-    need = reps * len(config.l_list) * 8 + workers * _Buffers.nbytes(
+    # the output, the column of pair products `simulate` takes from it, and
+    # the threads' buffers
+    need = reps * (len(config.l_list) + 1) * 8 + workers * _Buffers.nbytes(
         config.distribution, p, n, top, capacity
     )
     memory = _physical_memory()
@@ -498,7 +512,8 @@ def _z_score(empirical: float, exact: float | None, se: float) -> float | None:
 
 def _jackknife_cov_se(products: np.ndarray) -> float:
     """Leave-one-out jackknife standard error of a sample covariance, from the
-    products c_x,i c_y,i of its two centred columns.
+    products c_x,i c_y,i of its two centred columns.  It centres `products`
+    in place.
 
     The covariance leaving out i is (sum(c_x c_y) - r/(r-1) c_x,i c_y,i) / (r-2),
     so the leave-one-out values spread as the products do.  Centring the
@@ -506,8 +521,8 @@ def _jackknife_cov_se(products: np.ndarray) -> float:
     sums would.
     """
     r = len(products)
-    deviations = products - products.mean()
-    spread = math.sqrt((r - 1) / r * float(deviations @ deviations))
+    products -= products.mean()
+    spread = math.sqrt((r - 1) / r * float(products @ products))
     return r / ((r - 1) * (r - 2)) * spread
 
 
@@ -531,10 +546,13 @@ def simulate(
     for col in traces.T:
         col -= col.mean()
     covs: list[CovStat] = []
+    # every pair's products in one buffer, which `sample_traces` counts in
+    # its memory estimate
+    products = np.empty(r)
     for a in range(len(config.l_list)):
         for b in range(a, len(config.l_list)):
             l1, l2 = config.l_list[a], config.l_list[b]
-            products = traces[:, a] * traces[:, b]
+            np.multiply(traces[:, a], traces[:, b], out=products)
             empirical = float(products.sum() / (r - 1))
             se = _jackknife_cov_se(products)
             exact = reference.covariances.get((l1, l2))

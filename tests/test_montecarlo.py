@@ -76,11 +76,17 @@ def _whole_batch(distribution, seed, batch_index, count, p, n):
 
 @pytest.mark.parametrize("dist", DISTS)
 def test_buffer_bytes_are_those_allocated(dist):
-    # sample_traces bounds its memory by nbytes before it allocates
+    # sample_traces bounds its memory by nbytes before it allocates: every
+    # buffer of the layout must be allocated as laid out, and counted
     buffers = _Buffers(dist, 3, 5, 3, 10)
-    arrays = [buffers.draws, *buffers.halves]
-    arrays += [getattr(buffers, name) for name in ("gram", "scratch") if hasattr(buffers, name)]
-    assert _Buffers.nbytes(dist, 3, 5, 3, 10) == sum(a.nbytes for a in arrays)
+    layout = _Buffers.layout(dist, 3, 5, 3, 10)
+    halves = layout.pop("halves")
+    assert len(buffers.halves) == len(halves)
+    pairs = list(zip(buffers.halves, halves))
+    pairs += [(getattr(buffers, name), entry) for name, entry in layout.items()]
+    for array, (dtype, size) in pairs:
+        assert (array.dtype, array.size) == (np.dtype(dtype), size)
+    assert _Buffers.nbytes(dist, 3, 5, 3, 10) == sum(array.nbytes for array, _ in pairs)
 
 
 def test_bitwise_reproducibility():
@@ -265,13 +271,34 @@ def test_uniform_draws_are_scaled_sfc64_doubles():
 
 def test_rademacher_gram_is_the_float64_gram_of_the_same_bits():
     # the float32 product is exact: +-1 Gram entries are integers up to n
-    for p, n in ((3, 5), (50, 100)):
+    for p, n in ((3, 5), (4, 8), (50, 100)):
         gen = sfc64_stream(7, 2)
         packed = gen.integers(0, 256, size=(20, -(-p * n // 8)), dtype=np.uint8)
         x = np.unpackbits(packed, axis=1, count=p * n).reshape(20, p, n) * 2.0 - 1.0
         gram = _whole_batch("rademacher", 7, 2, 20, p, n)
         assert gram.dtype == np.float64
         assert np.array_equal(gram, x @ x.transpose(0, 2, 1)), (p, n)
+
+
+def test_rademacher_gram_multiplies_two_buffers(monkeypatch):
+    # X times a transposed view of itself goes to BLAS syrk, which on a stack
+    # of small matrices runs no faster on two threads than on one: 20 Grams
+    # of a 1024 x 4 x 8 float32 stack took 4.5 ms on one thread and 13.2 ms
+    # split over two, where copying X^T and multiplying by the copy (GEMM)
+    # took 3.7 and 2.1 ms (2 vCPUs, OpenBLAS 0.3.31).  Both give the same
+    # exact Gram, so only this test sees the difference.
+    calls = []
+
+    def matmul(a, b, *args, **kwargs):
+        calls.append((a, b))
+        return real(a, b, *args, **kwargs)
+
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", matmul)
+    _whole_batch("rademacher", 7, 2, 20, 4, 8)
+    [(a, b)] = calls
+    assert not np.shares_memory(a, b)
+    assert a.flags.c_contiguous and b.flags.c_contiguous
 
 
 @pytest.mark.parametrize("p, n", [(1, 4), (3, 3), (4, 8), (50, 100)])
