@@ -15,10 +15,12 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
 import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import closedform, enumeration, verify
@@ -322,26 +324,46 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with `command` alone.
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    handler, _, arguments = _COMMANDS[name]
+    parser.set_defaults(handler=handler)
+    parser.add_argument("--no-timestamp", action="store_true",
+                        help="omit the timestamp field for byte-identical reruns")
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
 
-    A parser with one subcommand parses that command's argv exactly as the
-    full parser does; its usage line still lists every command.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand."""
     parser = _Parser(prog="tracemoments", description=__doc__)
-    # the full parser lists its own choices; a metavar there would also
-    # rename the action in its "invalid choice" and "required" errors
-    listing = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
-    for name in _COMMANDS if command is None else (command,):
-        handler, help_text, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp field for byte-identical reruns")
-        for flag, keywords in arguments:
-            p.add_argument(flag, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """A flat parser for `name` alone, which parses the arguments after the
+    command name as the full parser's subparser does and prints the same help
+    and errors.  argparse would read the terminal width again for every
+    argument; this parser reads it once."""
+    width = shutil.get_terminal_size().columns - 2  # as argparse.HelpFormatter
+    parser = _Parser(prog=f"tracemoments {name}",
+                     formatter_class=partial(argparse.HelpFormatter, width=width))
+    _add_command(parser, name)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a known command with its own flat parser.  The full parser, whose
+    usage line lists every command, is built only for top-level help, an
+    unknown command or leftover arguments."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return build_parser().parse_args(argv)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -350,10 +372,8 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # building one subparser instead of all of them is most of a cheap call
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line, no source location
             status = args.handler(args)

@@ -495,10 +495,16 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
             thread.join()
     if errors:
         raise errors[0]
-    for done in starts:
-        for idx, l in enumerate(config.l_list):
-            if not np.isfinite(out[done : done + BATCH_SIZE, idx]).all():
-                raise ValueError(f"tr(S^{l}) is not finite in double precision")
+    # one pass that makes no boolean copy of `out`: a sum of finite terms
+    # is finite unless it overflows, and then the search below finds nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = out.sum()
+    if not math.isfinite(total):
+        # name the first such power of the first such batch, as one thread would
+        for done in starts:
+            for idx, l in enumerate(config.l_list):
+                if not np.isfinite(out[done : done + BATCH_SIZE, idx]).all():
+                    raise ValueError(f"tr(S^{l}) is not finite in double precision")
     return out
 
 

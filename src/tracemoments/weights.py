@@ -13,17 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .graphs import (
-    KIND_DOUBLE_ONE_D_RING,
-    KIND_DOUBLE_TWO_D_RING,
-    KIND_BALANCED_PAIR,
-    KIND_ONE_D_RING,
-    KIND_TWO_D_RING,
-    CircuitMultigraph,
-    DoubleCircuitMultigraph,
-    SeedClass,
-    reversed_edge_counts,
-)
+from .graphs import CircuitMultigraph, DoubleCircuitMultigraph, reversed_edge_counts
 
 Rational = Fraction | int
 
@@ -245,33 +235,3 @@ def covariance_weight(
     return covariance_weight_of_exponents(
         combined.values(), c1.values(), c2.values(), moments
     )
-
-
-def classified_weight(seed_class: SeedClass, alpha: Rational) -> Fraction:
-    """Weight of a graph on at least N/2 vertices, read off its seed class.
-
-    Only valid for walks visiting at least half as many vertices as they have
-    edges; graphs below that threshold can involve moments beyond the fourth.
-    """
-    alpha = Fraction(alpha)
-    if seed_class.kind == KIND_TWO_D_RING:
-        return alpha if seed_class.ring_length == 2 else Fraction(1)
-    if seed_class.kind == KIND_ONE_D_RING:
-        length = seed_class.ring_length or 0
-        return Fraction(1) if length % 2 == 0 and length >= 4 else Fraction(0)
-    if seed_class.kind == KIND_BALANCED_PAIR:
-        return Fraction(1)
-    return Fraction(0)
-
-
-def classified_covariance_weight(seed_class: SeedClass, alpha: Rational) -> Fraction:
-    """Covariance weight of a pair on at least N/2 vertices, from its seed class."""
-    alpha = Fraction(alpha)
-    length = seed_class.ring_length or 0
-    if seed_class.kind == KIND_DOUBLE_TWO_D_RING:
-        if length == 2:
-            return alpha - 1
-        return Fraction(1) if length % 2 == 0 and length >= 4 else Fraction(0)
-    if seed_class.kind == KIND_DOUBLE_ONE_D_RING:
-        return Fraction(1) if length % 2 == 0 and length >= 4 else Fraction(0)
-    return Fraction(0)

@@ -8,7 +8,8 @@ oracle, rescanning trims with label-level seed-class censuses that visit
 every route pair, the orbit-loop double census that trims one route
 quadruple at a time, per-b references for the closed-form covariance
 coefficients, the Bartlett Wishart sampler, the whole-batch Monte Carlo
-trace loop, and the edge-by-edge sprouting walk search."""
+trace loop, the edge-by-edge sprouting walk search, and the weights of
+graphs on at least N/2 vertices read off their seed classes."""
 
 from __future__ import annotations
 
@@ -26,7 +27,13 @@ import numpy as np
 from tracemoments.closedform import binom
 from tracemoments.enumeration import _validate_pair_params, signature_census
 from tracemoments.graphs import (
+    KIND_BALANCED_PAIR,
+    KIND_DOUBLE_ONE_D_RING,
+    KIND_DOUBLE_TWO_D_RING,
+    KIND_ONE_D_RING,
+    KIND_TWO_D_RING,
     Route,
+    SeedClass,
     balanced_leaf_labels,
     black_labels,
     build_double_graph,
@@ -634,3 +641,33 @@ def reference_census_sprouting(
         extend(1)
         route.pop()
     return count
+
+
+def classified_weight(seed_class: SeedClass, alpha: Fraction | int) -> Fraction:
+    """Weight of a graph on at least N/2 vertices, read off its seed class.
+
+    Only valid for walks visiting at least half as many vertices as they have
+    edges; graphs below that threshold can involve moments beyond the fourth.
+    """
+    alpha = Fraction(alpha)
+    if seed_class.kind == KIND_TWO_D_RING:
+        return alpha if seed_class.ring_length == 2 else Fraction(1)
+    if seed_class.kind == KIND_ONE_D_RING:
+        length = seed_class.ring_length or 0
+        return Fraction(1) if length % 2 == 0 and length >= 4 else Fraction(0)
+    if seed_class.kind == KIND_BALANCED_PAIR:
+        return Fraction(1)
+    return Fraction(0)
+
+
+def classified_covariance_weight(seed_class: SeedClass, alpha: Fraction | int) -> Fraction:
+    """Covariance weight of a pair on at least N/2 vertices, from its seed class."""
+    alpha = Fraction(alpha)
+    length = seed_class.ring_length or 0
+    if seed_class.kind == KIND_DOUBLE_TWO_D_RING:
+        if length == 2:
+            return alpha - 1
+        return Fraction(1) if length % 2 == 0 and length >= 4 else Fraction(0)
+    if seed_class.kind == KIND_DOUBLE_ONE_D_RING:
+        return Fraction(1) if length % 2 == 0 and length >= 4 else Fraction(0)
+    return Fraction(0)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -436,16 +437,28 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert json.loads(out)["failures"] == ["synthetic"]
 
 
-# help, and usage errors raised by the top-level parser and by a subparser
+# help, and usage errors raised by the top-level parser, by a command's
+# parser and for leftover arguments; every command's help and bare call
 PARSER_CASES = (
     ("--help",), ("mean-oracle", "--help"), ("simulate", "--help"), ("foo",),
     ("mean-oracle", "--l", "x"), ("mp", "--l", "2", "--y", "1/2", "--wat", "1"),
     ("verify", "--suite", "nope"), (),
+    ("mean-oracle", "--l", "2", "--p", "4", "--n", "8", "--dist", "gaussian", "extra"),
+    *((name, "--help") for name in cli._COMMANDS if name not in ("mean-oracle", "simulate")),
+    *((name,) for name in cli._COMMANDS),
 )
+
+
+class _FixedClock(datetime):
+    @classmethod
+    def now(cls, tz=None):  # a bare bs-check prints its timestamp
+        return datetime(2000, 1, 1, tzinfo=tz)
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # a known command is parsed by its own flat parser; the reference run
+    # sends every call through the full parser with all subcommands
     def outcome():
         try:
             status = cli.main(list(argv))
@@ -454,7 +467,38 @@ def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, argv):
         captured = capsys.readouterr()
         return status, captured.out, captured.err
 
-    got = outcome()
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    for columns in ("80", "200"):  # the help and usage width
+        monkeypatch.setenv("COLUMNS", columns)
+        with monkeypatch.context() as full:
+            full.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+            expected = outcome()
+        assert outcome() == expected
+
+
+def test_known_commands_never_build_the_full_parser(capsys, monkeypatch):
     full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert got == outcome()
+    built = []
+
+    def refuse():
+        raise AssertionError("built the parser of every command")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for name in cli._COMMANDS:
+        with pytest.raises(SystemExit, match="^0$"):
+            cli.main([name, "--help"])
+    for argv, status in (
+        (("mp", "--l", "2", "--y", "1/2", "--no-timestamp"), 0),
+        (("mean-oracle", "--l", "x"), 1),
+        (("census", "--b", "1"), 1),
+    ):
+        assert cli.main(list(argv)) == status
+    capsys.readouterr()
+
+    # its usage line lists every command: an unknown command and leftover
+    # arguments are reported by the full parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or full())
+    for argv in (("foo",), ("mp", "--l", "2", "--y", "1/2", "--wat", "1")):
+        assert cli.main(list(argv)) == 1
+        assert capsys.readouterr().err.startswith("usage: tracemoments [-h]\n")
+    assert len(built) == 2

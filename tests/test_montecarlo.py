@@ -219,6 +219,15 @@ def test_non_finite_trace_is_named_in_batch_order(reps, workers, monkeypatch):
         sample_traces(_config(p=2, n=3, l_list=(400,), replications=reps))
 
 
+def test_finite_traces_whose_sum_overflows_are_returned(monkeypatch):
+    def huge(config, next_batch, own, edges, out):
+        out[:] = 1e308
+
+    monkeypatch.setattr(montecarlo, "_trace_batches", huge)
+    out = sample_traces(_config(replications=3 * BATCH_SIZE))
+    assert np.all(out == 1e308)
+
+
 def test_threads_that_cannot_start_leave_their_batches_to_the_others(monkeypatch):
     class Unstartable(threading.Thread):
         def start(self):

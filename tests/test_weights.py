@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     canonical_patterns,
+    classified_covariance_weight,
+    classified_weight,
     iter_route_pairs,
     split_route_pairs,
     surjective_routes,
@@ -31,8 +33,6 @@ from tracemoments.graphs import (
 from tracemoments.weights import (
     AffineAlpha,
     MomentSequence,
-    classified_covariance_weight,
-    classified_weight,
     covariance_weight,
     covariance_weight_of_exponents,
     preset_alpha,
