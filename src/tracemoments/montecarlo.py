@@ -4,12 +4,14 @@ Sampling is keyed by (seed, batch index): each batch draws from its own SFC64
 stream, seeded by SeedSequence(seed, spawn_key=(batch,)), numpy's recipe for
 independent parallel streams.  With a fixed batch size a run is
 bit-reproducible no matter how batches are scheduled; partial final batches
-only truncate the stream.  The batches run on one thread per usable core,
-each writing its own rows of the output.  Each batch is drawn, multiplied
-out and traced in chunks that continue its stream, so the traces are those
-of the whole batch; the threads split a budget of about CHUNK_VALUES doubles
-between them, so the memory a run uses grows with neither the batch nor the
-thread count.
+only truncate the stream.  The batches run on one thread per usable core
+in spans of consecutive batches, each span writing its own rows of the
+column-major output.  A span is one batch, drawn, multiplied out and traced
+in chunks that continue its stream, or, for small shapes, several whole
+batches traced as one chunk, each drawing its own rows from its own stream;
+either way the traces are those of each whole batch.  The threads split a
+budget of about CHUNK_VALUES doubles between them, so the memory a run uses
+grows with neither the batch nor the thread count.
 
 Each replication is a symmetric p x p matrix, p <= n after transposition, with
 the eigenvalues of X X^T: the Gram itself for rademacher (exact in float32)
@@ -145,17 +147,19 @@ def _usable_cores() -> int:
 
 
 class _Buffers:
-    """One worker's arrays for chunks of up to `capacity` replications, p <= n.
+    """One worker's arrays for chunks of up to `capacity` replications, p <= n:
+    part of one batch, or several whole batches of a span (`_spans`).
 
     Each is a flat buffer whose leading elements a chunk views at its own
     shape (`_view`).  The calling thread allocates them once per
     `sample_traces` call, and the kernels of every chunk write into them with
     out=, so the worker threads allocate little: glibc gives each thread its
     own malloc arena, which keeps the pages of what the thread frees.
-    - draws: gaussian chi-squares, the float32 or float64 entries otherwise;
+    - draws: gaussian chi-squares, the float32 or float64 entries otherwise,
+      each batch of a chunk in its own rows;
     - gram: the rademacher Gram, in the entries' dtype;
     - transposed: rademacher only, a contiguous copy of X^T, so that the Gram
-      is a product of two buffers (`_draw_batch`);
+      is a product of two buffers (`_chunk_matrices`);
     - halves: the powers S .. S^top, in band storage for gaussian;
     - scratch: gaussian only, the band products of `_band_powers` and
       `_band_pair_trace`.
@@ -222,20 +226,41 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _draw_batch(
-    distribution: str,
-    gen: np.random.Generator,
-    count: int,
-    p: int,
-    n: int,
-    buffers: _Buffers,
-) -> np.ndarray:
-    """The next `count` replications of a batch from its generator, p <= n,
-    in `buffers`: symmetric p x p matrices whose eigenvalues have the joint
-    law of those of X X^T for a p x n matrix X.
+    distribution: str, gen: np.random.Generator, rows: np.ndarray, shapes: np.ndarray | None
+) -> None:
+    """Draw `rows`, the next replications of one batch, from the batch's
+    generator, in one call, into their rows of a chunk's draws (`_view` of
+    `_Buffers.draws`); `_chunk_matrices` then makes them matrices.
 
-    The chunks of a batch are drawn in order from one generator, each draw
-    made row-major as (count, ...), so the chunks continue one stream and a
-    shorter batch is a prefix of the full one.
+    The replications of a batch are drawn in order from one generator, each
+    draw made row-major as (count, ...), so the chunks of a batch continue
+    one stream and a shorter batch is a prefix of the full one.
+    - gaussian: rows (count, 2p - 1) of standard gammas of `shapes`, the
+      gamma shapes (n - i)/2, i = 0..p-1, then (p - 1 - i)/2, i = 0..p-2,
+      made once per `sample_traces` call; twice each is a chi-square on
+      twice its shape degrees of freedom, bit for bit.
+    - rademacher: rows (count, p, n) of bits, unpacked from ceil(p n / 8)
+      uniform bytes per draw.  `integers` with dtype uint8 takes the bytes
+      of 4-byte words and drops what is left of the last word at the end of
+      each call, so a chunk continues the batch's stream only when it starts
+      at a multiple of 4 bytes.
+    - uniform: rows (count, p, n) of doubles U in [0, 1).
+    """
+    if distribution == "gaussian":
+        gen.standard_gamma(shapes, out=rows)
+    elif distribution == "rademacher":
+        size = math.prod(rows.shape[1:])
+        packed = gen.integers(0, 256, size=(len(rows), -(-size // 8)), dtype=np.uint8)
+        np.copyto(rows, np.unpackbits(packed, axis=1, count=size).reshape(rows.shape))
+    else:
+        gen.random(out=rows)
+
+
+def _chunk_matrices(distribution: str, draws: np.ndarray, buffers: _Buffers) -> np.ndarray:
+    """The matrices of a chunk's `draws`, in `buffers`: symmetric p x p
+    matrices, p <= n, whose eigenvalues have the joint law of those of
+    X X^T for a p x n matrix X.  The draws are overwritten.
+
     - gaussian: the tridiagonal B B^T of the beta = 1 Laguerre model
       (Dumitriu and Edelman 2002), B lower bidiagonal with
       d_i = sqrt(chi^2_{n-i}) on the diagonal, i = 0..p-1, and
@@ -244,11 +269,7 @@ def _draw_batch(
       (min(2, p), p, count): the diagonal d_i^2 + e_{i-1}^2 and the d_i e_i
       beside it.  B B^T is not the Gram X X^T, but every tr(S^l) depends only
       on the eigenvalues.
-    - rademacher: the Gram X X^T of one bit per entry, unpacked from
-      ceil(p n / 8) uniform bytes per draw.  `integers` with dtype uint8
-      takes the bytes of 4-byte words and drops what is left of the last
-      word at the end of each call, so a chunk continues the batch's stream
-      only when it starts at a multiple of 4 bytes.  The Gram's
+    - rademacher: the Gram X X^T of the entries 2 b - 1.  The Gram's
       entries and sums are integers of size at most n, exact in float32
       while n < 2^24, so the product runs in float32 there.  It multiplies X
       by a contiguous copy of X^T: numpy sends X times a view of itself to
@@ -258,13 +279,14 @@ def _draw_batch(
     - uniform: the Gram X X^T of sqrt(3) (2 U - 1) per entry, taken as
       12 (U - 1/2)(U - 1/2)^T: U - 1/2 is exact in float64, so the entries
       take one pass and the scale one pass over the p x p Gram.
+    Every step works on each replication alone, so the matrices do not
+    depend on how the replications are split into chunks.
     """
+    count = len(draws)
     if distribution == "gaussian":
-        dfs = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)])
-        chi2 = _view(buffers.draws, (count, 2 * p - 1))
-        gen.standard_gamma(dfs / 2, out=chi2)
-        chi2 *= 2.0  # chisquare(df) is 2 standard_gamma(df / 2), bit for bit
-        d2, e2 = chi2[:, :p].T, chi2[:, p:].T
+        p = (draws.shape[1] + 1) // 2
+        draws *= 2.0  # chisquare(df) is 2 standard_gamma(df / 2), bit for bit
+        d2, e2 = draws[:, :p].T, draws[:, p:].T
         tri = _view(buffers.halves[0], (min(2, p), p, count))
         tri[0, 0] = d2[0]
         np.add(d2[1:], e2, out=tri[0, 1:])
@@ -273,21 +295,18 @@ def _draw_batch(
             np.multiply(d2[:-1], e2, out=tri[1, 1:])
             np.sqrt(tri[1, 1:], out=tri[1, 1:])
         return tri
-    x = _view(buffers.draws, (count, p, n))
+    p, n = draws.shape[1:]
     gram = _view(buffers.halves[0], (count, p, p))
     if distribution == "rademacher":
-        packed = gen.integers(0, 256, size=(count, -(-p * n // 8)), dtype=np.uint8)
-        np.copyto(x, np.unpackbits(packed, axis=1, count=p * n).reshape(x.shape))
-        x *= 2.0
-        x -= 1.0
+        draws *= 2.0
+        draws -= 1.0
         xt = _view(buffers.transposed, (count, n, p))
-        np.copyto(xt, x.transpose(0, 2, 1))
-        single = np.matmul(x, xt, out=_view(buffers.gram, gram.shape))
+        np.copyto(xt, draws.transpose(0, 2, 1))
+        single = np.matmul(draws, xt, out=_view(buffers.gram, gram.shape))
         np.copyto(gram, single)
         return gram
-    gen.random(out=x)
-    x -= 0.5
-    np.matmul(x, x.transpose(0, 2, 1), out=gram)
+    draws -= 0.5
+    np.matmul(draws, draws.transpose(0, 2, 1), out=gram)
     gram *= 12.0
     return gram
 
@@ -295,7 +314,7 @@ def _draw_batch(
 def _chunk_edges(count: int, widest: int, budget: int, align: int) -> list[int]:
     """Edges of near-equal chunks of a batch of `count` replications, each
     about budget / widest replications but at least 2, every edge but the
-    last a multiple of `align`.
+    last a multiple of `align`: the chunks of a span of one batch.
 
     One-replication chunks are avoided because numpy sums them along another
     path, whose last bits differ: einsum for one matrix, a contiguous pairwise
@@ -305,6 +324,33 @@ def _chunk_edges(count: int, widest: int, budget: int, align: int) -> list[int]:
     units = count // align
     chunks = max(1, min(-(-count // size), count // 2, units))
     return [align * (units * k // chunks) for k in range(chunks)] + [count]
+
+
+def _spans(
+    reps: int, widest: int, budget: int, workers: int, align: int
+) -> list[tuple[int, list[int]]]:
+    """The spans the threads take in turn, in order, each as (its first
+    replication, the edges of its chunks counted from there).
+
+    A span of k consecutive whole batches is traced as one chunk, where
+    k = min(budget // (widest * BATCH_SIZE), batches // workers) is at least
+    2: the chunk's largest array fits the budget, and every thread has a span
+    to take.  Otherwise a span is one batch, cut by `_chunk_edges`.  A final
+    batch of one replication is a span alone, as `_chunk_edges` keeps it.
+    """
+    starts = range(0, reps, BATCH_SIZE)
+    whole = min(budget // (widest * BATCH_SIZE), len(starts) // workers)
+    if whole > 1:
+        lone = reps % BATCH_SIZE == 1
+        firsts = list(range(0, reps - lone, whole * BATCH_SIZE))
+        if lone:
+            firsts.append(reps - 1)
+        return [(first, [0, stop - first]) for first, stop in pairwise([*firsts, reps])]
+    edges = {
+        count: _chunk_edges(count, widest, budget, align)
+        for count in {min(BATCH_SIZE, reps), reps - starts[-1]}
+    }
+    return [(first, edges[min(BATCH_SIZE, reps - first)]) for first in starts]
 
 
 def _band_powers(tri: np.ndarray, top: int, buffers: _Buffers) -> list[np.ndarray]:
@@ -373,33 +419,40 @@ def _dense_pair_trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _trace_batches(
     config: SimulationConfig,
-    next_batch: Callable[[], int | None],
+    next_span: Callable[[], tuple[int, list[int]] | None],
     buffers: _Buffers,
-    edges: Mapping[int, list[int]],
     out: np.ndarray,
+    shapes: np.ndarray | None,
 ) -> None:
-    """Draw, multiply out and trace each batch that `next_batch` hands out
-    until it returns None, a batch of `count` replications in the chunks
-    between `edges[count]`; each batch writes its own rows of `out`."""
+    """Draw, multiply out and trace each span of `_spans` that `next_span`
+    hands out until it returns None, chunk by chunk; each span writes its own
+    rows of `out`.  A chunk draws its replications batch by batch, each from
+    the batch's stream, which the next chunk of a one-batch span continues.
+    `shapes` are the gaussian gamma shapes of `_draw_batch`."""
     p, n = sorted((config.p, config.n))
     top = (max(config.l_list) + 1) // 2
     if config.distribution == "gaussian":
+        draw_shape = (2 * p - 1,)
         powers, diagonal_sum = _band_powers, _band_diagonal_sum
         pair = partial(_band_pair_trace, scratch=buffers.scratch)
     else:
+        draw_shape = (p, n)
         powers, diagonal_sum, pair = _dense_powers, _dense_diagonal_sum, _dense_pair_trace
     # overflow is reported per power by `sample_traces`, not as a numpy
     # warning; the error state is local to each thread
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch in iter(next_batch, None):
-            done = batch * BATCH_SIZE
-            count = min(BATCH_SIZE, config.replications - done)
-            gen = _batch_generator(config.rng_seed, batch)
-            for start, stop in pairwise(edges[count]):
-                chunk = _draw_batch(config.distribution, gen, stop - start, p, n, buffers)
+        for first, edges in iter(next_span, None):
+            for start, stop in pairwise(first + edge for edge in edges):
+                draws = _view(buffers.draws, (stop - start, *draw_shape))
+                cuts = [start, *range((start // BATCH_SIZE + 1) * BATCH_SIZE, stop, BATCH_SIZE)]
+                for lo, hi in pairwise([*cuts, stop]):
+                    if lo % BATCH_SIZE == 0:
+                        gen = _batch_generator(config.rng_seed, lo // BATCH_SIZE)
+                    _draw_batch(config.distribution, gen, draws[lo - start : hi - start], shapes)
+                chunk = _chunk_matrices(config.distribution, draws, buffers)
                 chunk /= config.n
                 halves = powers(chunk, top, buffers)
-                rows = out[done + start : done + stop]
+                rows = out[start:stop]
                 for idx, l in enumerate(config.l_list):
                     if l == 1:  # exact wherever the diagonal is
                         rows[:, idx] = diagonal_sum(halves[0])
@@ -408,20 +461,25 @@ def _trace_batches(
 
 
 def sample_traces(config: SimulationConfig) -> np.ndarray:
-    """Per-replication values of tr(S^l), shape (replications, len(l_list)).
+    """Per-replication values of tr(S^l), shape (replications, len(l_list)),
+    column-major: each power's traces are contiguous.
 
     The keyed batches run on min(batches, usable cores) threads, the calling
     thread among them; numpy releases the interpreter lock in its draws and
     products, so the threads can run at once, and gain where the kernels do
-    (not BLAS syrk on stacks of small matrices, which `_draw_batch` avoids
-    for rademacher).  Each takes the next batch not yet taken and writes its
-    rows of the output, so the traces do not depend on which thread draws
-    which batch.  Each batch is drawn, multiplied out and traced in chunks
-    whose largest array holds about CHUNK_VALUES / threads doubles, in
-    buffers made once per call, so the working set stays in
-    cache and the memory a run uses grows with neither the batch nor the
-    thread count.  The chunks continue the batch's stream, so the traces are
-    those of drawing the batch whole.  For p > n the draw is transposed:
+    (not BLAS syrk on stacks of small matrices, which `_chunk_matrices`
+    avoids for rademacher).  Each thread takes the next span of `_spans` not
+    yet taken and writes its rows of the output, so the traces do not depend
+    on which thread draws which batch.  A span is traced in chunks whose
+    largest array holds about CHUNK_VALUES / threads doubles: several whole
+    batches at once where a batch is far smaller than that, so small shapes
+    pay numpy's fixed cost per call once for several batches, or else one
+    batch cut into chunks.  The chunks are made in buffers allocated once per
+    call, so the working set stays in cache and the memory a run uses grows
+    with neither the batch nor the thread count.  Every batch draws from its
+    own stream, continued from chunk to chunk, and every step after the draw
+    works on each replication alone, so the traces are those of drawing each
+    batch whole.  For p > n the draw is transposed:
     tr((X^T X / n)^l) = tr((X X^T / n)^l), so the traces need no rescaling.
     A gaussian tridiagonal T is multiplied out in band storage, O(p k) work
     and memory for T^k; the Grams of the other distributions as dense
@@ -445,11 +503,8 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
     workers = min(len(starts), _usable_cores())
     # a rademacher chunk starts on a 4-byte word of its batch's bytes (`_draw_batch`)
     align = 4 // math.gcd(-(-p * n // 8), 4) if config.distribution == "rademacher" else 1
-    edges = {
-        count: _chunk_edges(count, widest, CHUNK_VALUES // workers, align)
-        for count in (min(BATCH_SIZE, reps), reps - starts[-1])
-    }
-    capacity = max(stop - start for cuts in edges.values() for start, stop in pairwise(cuts))
+    spans = _spans(reps, widest, CHUNK_VALUES // workers, workers, align)
+    capacity = max(stop - start for _, edges in spans for start, stop in pairwise(edges))
     # each of the arrays below succeeds lazily, so a run too large for the
     # machine would fail only once its pages are touched: refuse it first
     # the output, the column of pair products `simulate` takes from it, and
@@ -464,18 +519,22 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
             f"{memory / 1e6:,.1f} MB of physical memory"
         )
     buffers = [_Buffers(config.distribution, p, n, top, capacity) for _ in range(workers)]
-    out = np.empty((reps, len(config.l_list)), dtype=np.float64)
+    shapes = (
+        np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)]) / 2
+        if gaussian else None
+    )
+    out = np.empty((len(config.l_list), reps), dtype=np.float64).T
     lock = threading.Lock()
-    batches = iter(range(len(starts)))
+    taken = iter(spans)
     errors: list[BaseException] = []
 
-    def next_batch() -> int | None:
+    def next_span() -> tuple[int, list[int]] | None:
         with lock:
-            return None if errors else next(batches, None)
+            return None if errors else next(taken, None)
 
     def work(own: _Buffers) -> None:
         try:
-            _trace_batches(config, next_batch, own, edges, out)
+            _trace_batches(config, next_span, own, out, shapes)
         except BaseException as exc:  # raised again by the calling thread
             with lock:
                 errors.append(exc)
@@ -486,7 +545,7 @@ def sample_traces(config: SimulationConfig) -> np.ndarray:
             thread = threading.Thread(target=work, args=(own,), daemon=True)
             try:
                 thread.start()
-            except RuntimeError:  # no thread to spare: the others take its batches
+            except RuntimeError:  # no thread to spare: the others take its spans
                 break
             threads.append(thread)
         work(buffers[0])

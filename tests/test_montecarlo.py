@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -23,12 +24,16 @@ from hypothesis import strategies as st
 from tracemoments import montecarlo
 from tracemoments.montecarlo import (
     BATCH_SIZE,
+    CHUNK_VALUES,
     ExactReferences,
     SimulationConfig,
     _Buffers,
     _batch_generator,
+    _chunk_edges,
+    _chunk_matrices,
     _draw_batch,
     _jackknife_cov_se,
+    _spans,
     oracle_references,
     sample_traces,
     simulate,
@@ -65,28 +70,44 @@ DISTS = ("gaussian", "rademacher", "uniform")
 SHAPES = ((2, 4), (3, 5), (5, 3))
 
 
+def _draw_chunk(distribution, gen, count, p, n, buffers):
+    """The matrices of the next `count` replications of a batch's stream,
+    drawn and multiplied out as one chunk, as `sample_traces` does."""
+    if distribution == "gaussian":
+        shape = (2 * p - 1,)
+        shapes = np.concatenate([np.arange(n, n - p, -1), np.arange(p - 1, 0, -1)]) / 2
+    else:
+        shape, shapes = (p, n), None
+    draws = buffers.draws[: count * math.prod(shape)].reshape(count, *shape)
+    _draw_batch(distribution, gen, draws, shapes)
+    return _chunk_matrices(distribution, draws, buffers)
+
+
 def _whole_batch(distribution, seed, batch_index, count, p, n):
     """Every matrix of one keyed batch, drawn as a single chunk; for gaussian,
     the dense tridiagonals of the batch's chi-squares, drawn in one call."""
     if distribution == "gaussian":
         return reference_tridiagonal(reference_chi2(seed, batch_index, count, p, n), p)
     buffers = _Buffers(distribution, p, n, 1, count)
-    return _draw_batch(distribution, _batch_generator(seed, batch_index), count, p, n, buffers)
+    return _draw_chunk(distribution, _batch_generator(seed, batch_index), count, p, n, buffers)
 
 
 @pytest.mark.parametrize("dist", DISTS)
 def test_buffer_bytes_are_those_allocated(dist):
     # sample_traces bounds its memory by nbytes before it allocates: every
-    # buffer of the layout must be allocated as laid out, and counted
-    buffers = _Buffers(dist, 3, 5, 3, 10)
-    layout = _Buffers.layout(dist, 3, 5, 3, 10)
-    halves = layout.pop("halves")
-    assert len(buffers.halves) == len(halves)
-    pairs = list(zip(buffers.halves, halves))
-    pairs += [(getattr(buffers, name), entry) for name, entry in layout.items()]
-    for array, (dtype, size) in pairs:
-        assert (array.dtype, array.size) == (np.dtype(dtype), size)
-    assert _Buffers.nbytes(dist, 3, 5, 3, 10) == sum(array.nbytes for array, _ in pairs)
+    # buffer of the layout must be allocated as laid out, and counted, also
+    # for a chunk of several whole batches
+    for capacity in (10, 3 * BATCH_SIZE + 5):
+        buffers = _Buffers(dist, 3, 5, 3, capacity)
+        layout = _Buffers.layout(dist, 3, 5, 3, capacity)
+        halves = layout.pop("halves")
+        assert len(buffers.halves) == len(halves)
+        pairs = list(zip(buffers.halves, halves))
+        pairs += [(getattr(buffers, name), entry) for name, entry in layout.items()]
+        for array, (dtype, size) in pairs:
+            assert (array.dtype, array.size) == (np.dtype(dtype), size)
+        total = sum(array.nbytes for array, _ in pairs)
+        assert _Buffers.nbytes(dist, 3, 5, 3, capacity) == total, capacity
 
 
 def test_bitwise_reproducibility():
@@ -111,10 +132,16 @@ def test_replication_prefix_property():
 
 # (p, n, replications): 1025 ends with a batch of one replication; the others
 # end with a partial batch, cut into other chunks than a full batch is; at
-# 300 x 300 every dense chunk holds 2 or 3 replications
+# 300 x 300 every dense chunk holds 2 or 3 replications.  At 4 x 8, 2 x 3 and
+# 8 x 8 whole batches are traced in spans of several, ending with a partial
+# batch, a lone batch of one replication or a full batch; from p = 8 on, numpy
+# sums a lone replication's 8 or more entries pairwise, not in order
 CHUNKED_CASES = (
     (3, 5, 1025), (5, 3, 1500), (1, 400, 1025), (1, 400, 1500),
     (50, 100, 1025), (100, 50, 1500), (300, 300, 101),
+    *((p, n, reps) for p, n in ((4, 8), (2, 3))
+      for reps in (5 * BATCH_SIZE + 3, 5 * BATCH_SIZE + 1, 7 * BATCH_SIZE)),
+    (8, 8, 5 * BATCH_SIZE + 1),
 )
 
 
@@ -136,6 +163,66 @@ def test_chunked_traces_match_the_whole_batch(dist, p, n, reps, monkeypatch):
     whole = sample_traces(cfg)
     assert np.array_equal(chunked, whole)
     assert np.array_equal(smallest, whole)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    reps=st.builds(lambda batches, tail: max(100, batches * BATCH_SIZE + tail),
+                   st.integers(0, 40), st.sampled_from([0, 1, 2, 3, 500, 1023])),
+    widest=st.integers(1, 5000),
+    budget=st.integers(1, 2**22), workers=st.integers(1, 8), align=st.sampled_from([1, 2, 4]),
+)
+def test_span_plan(reps, widest, budget, workers, align):
+    spans = _spans(reps, widest, budget, workers, align)
+    chunks = [(first + a, first + b) for first, edges in spans for a, b in pairwise(edges)]
+    # every replication once, in order
+    assert chunks[0][0] == 0 and chunks[-1][1] == reps
+    assert all(a < b for a, b in chunks)
+    assert all(stop == start for (_, stop), (start, _) in pairwise(chunks))
+    for first, edges in spans:
+        stop = first + edges[-1]
+        assert first % BATCH_SIZE == 0 and edges[0] == 0
+        if stop <= first + BATCH_SIZE:  # one batch, cut as ever
+            assert edges == _chunk_edges(stop - first, widest, budget, align)
+        else:  # whole batches, one chunk within the budget
+            assert stop % BATCH_SIZE == 0 or stop == reps
+            assert len(edges) == 2 and (stop - first) * widest <= budget
+    if -(-reps // BATCH_SIZE) >= workers:  # no thread is left without a span
+        assert len(spans) >= workers
+    if reps % BATCH_SIZE == 1:  # numpy sums one replication along another path
+        assert spans[-1] == (reps - 1, [0, 1])
+
+
+def test_small_shapes_take_spans_of_several_batches():
+    # the README request on two threads: gaussian 4 x 8 bands of T and T^2
+    # hold 12 doubles per replication, so five batches fit half the budget
+    spans = _spans(200000, 12, CHUNK_VALUES // 2, 2, 1)
+    assert [first for first, _ in spans] == list(range(0, 200000, 5 * BATCH_SIZE))
+    assert spans[0] == (0, [0, 5 * BATCH_SIZE])
+    # a batch that fills the budget is a span alone
+    assert _spans(20 * BATCH_SIZE, 64, CHUNK_VALUES // 2, 2, 1)[1] == (BATCH_SIZE, [0, BATCH_SIZE])
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_each_power_traces_are_contiguous(dist):
+    traces = sample_traces(_config(p=4, n=8, l_list=(1, 2, 3), distribution=dist,
+                                   replications=3 * BATCH_SIZE + 5))
+    assert traces.shape == (3 * BATCH_SIZE + 5, 3)
+    for idx in range(3):
+        assert traces[:, idx].flags.c_contiguous
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_simulate_does_not_depend_on_the_trace_layout(dist, monkeypatch):
+    # the report is the same whether simulate reads the column-major traces
+    # or a row-major copy of them
+    cfg = _config(p=4, n=8, l_list=(1, 2, 3), distribution=dist, replications=20007)
+    refs = oracle_references(cfg)
+    want = simulate(cfg, refs)
+    real = montecarlo.sample_traces
+    assert not real(cfg).flags.c_contiguous
+    monkeypatch.setattr(montecarlo, "sample_traces", lambda c: np.ascontiguousarray(real(c)))
+    assert simulate(cfg, refs) == want
 
 
 @pytest.mark.parametrize("dist", DISTS)
@@ -174,8 +261,13 @@ def _use_workers(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
 
 
-# 1, 2, 3 and 49 batches, each run ending with a partial batch
-THREADED_CASES = ((3, 5, 1000), (5, 3, 2000), (3, 5, 3000), (4, 8, 49 * BATCH_SIZE - 500))
+# 1, 2, 3 and 49 batches, each run ending with a partial batch, and 20 full
+# batches, which 2 and 3 threads take in spans of several batches at 4 x 8
+# (every distribution at 2, gaussian at 3) and 2, 3 and 5 threads at 2 x 3
+THREADED_CASES = (
+    (3, 5, 1000), (5, 3, 2000), (3, 5, 3000), (4, 8, 49 * BATCH_SIZE - 500),
+    (4, 8, 20 * BATCH_SIZE), (2, 3, 20 * BATCH_SIZE),
+)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -220,7 +312,7 @@ def test_non_finite_trace_is_named_in_batch_order(reps, workers, monkeypatch):
 
 
 def test_finite_traces_whose_sum_overflows_are_returned(monkeypatch):
-    def huge(config, next_batch, own, edges, out):
+    def huge(config, next_span, own, out, shapes):
         out[:] = 1e308
 
     monkeypatch.setattr(montecarlo, "_trace_batches", huge)
@@ -316,7 +408,7 @@ def test_gaussian_draw_is_symmetric_tridiagonal(p, n):
     # tridiagonal of the batch's chi-squares drawn in one chisquare call
     gen = _batch_generator(7, 0)
     buffers = _Buffers("gaussian", p, n, 1, 200)
-    chunks = [_draw_batch("gaussian", gen, count, p, n, buffers).copy() for count in (77, 123)]
+    chunks = [_draw_chunk("gaussian", gen, count, p, n, buffers).copy() for count in (77, 123)]
     bands = np.concatenate(chunks, axis=2)
     assert bands.shape == (min(2, p), p, 200)
     diagonal, beside = bands[0].T, bands[-1, 1:].T
