@@ -21,6 +21,13 @@ replication.  The matrix is divided by n before its powers are taken, so
 tr(S^l) needs no further scaling and overflows only where its value does.
 Grams are raised to their powers as dense matrices; a tridiagonal T is kept
 as its bands, as T^k has bandwidth k, so each power costs O(p k), not O(p^3).
+
+The statistics of `simulate` (means, covariances, their errors) are numpy
+pairwise sums over the contiguous trace columns, each taken once, with no
+BLAS call: a BLAS dot would run on as many threads as BLAS has, leaving them
+spinning on the cores the sampler needs next, and its rounding would change
+with their number.  So a seeded report is the same whatever the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -575,51 +582,65 @@ def _z_score(empirical: float, exact: float | None, se: float) -> float | None:
     return 0.0 if empirical == exact else math.inf
 
 
-def _jackknife_cov_se(products: np.ndarray) -> float:
+def _jackknife_cov_se(products: np.ndarray, total: float) -> float:
     """Leave-one-out jackknife standard error of a sample covariance, from the
-    products c_x,i c_y,i of its two centred columns.  It centres `products`
-    in place.
+    products c_x,i c_y,i of its two centred columns and their sum `total`.
+    It centres and squares `products` in place.
 
     The covariance leaving out i is (sum(c_x c_y) - r/(r-1) c_x,i c_y,i) / (r-2),
     so the leave-one-out values spread as the products do.  Centring the
     columns first keeps large means from cancelling the spread away, as raw
-    sums would.
+    sums would.  The products are centred on total / r, which is
+    products.mean() bit for bit, and their squares are summed pairwise, as
+    every statistic of `simulate` is: no BLAS call, so the error does not
+    depend on how many threads BLAS runs, and leaves none of them busy.
     """
     r = len(products)
-    products -= products.mean()
-    spread = math.sqrt((r - 1) / r * float(products @ products))
-    return r / ((r - 1) * (r - 2)) * spread
+    products -= total / r
+    squares = float(np.square(products, out=products).sum())
+    return r / ((r - 1) * (r - 2)) * math.sqrt((r - 1) / r * squares)
 
 
 def simulate(
     config: SimulationConfig, reference: ExactReferences | None = None
 ) -> SimulationReport:
-    """Estimate trace means and covariances and score them against exact values."""
+    """Estimate trace means and covariances and score them against exact values.
+
+    Every statistic is a numpy pairwise sum over the contiguous trace columns,
+    taken once, with no BLAS call, so a seeded report does not depend on the
+    BLAS thread count.  Each column is centred in place on its mean; the
+    covariance of a pair is the sum of the products of its centred columns
+    over r - 1, and the standard error of a mean is sqrt(cov(l, l)) / sqrt(r)
+    from the diagonal pair, bit for bit col.std(ddof=1) / sqrt(r), which
+    sums the same squares of the same deviations.
+    """
     reference = reference or ExactReferences()
     traces = sample_traces(config)
     r = config.replications
-    means: list[MeanStat] = []
-    for idx, l in enumerate(config.l_list):
-        col = traces[:, idx]
-        empirical = float(col.mean())
-        se = float(col.std(ddof=1)) / math.sqrt(r)
-        exact = reference.means.get(l)
-        exact_f = None if exact is None else float(exact)
-        means.append(MeanStat(l, empirical, se, exact_f, _z_score(empirical, exact_f, se)))
     # centre each column once, in place: a copy of every column would hold
     # as much memory as the traces do
+    column_means = []
     for col in traces.T:
-        col -= col.mean()
+        mean = col.mean()
+        column_means.append(float(mean))
+        col -= mean
+    means: list[MeanStat] = []
     covs: list[CovStat] = []
     # every pair's products in one buffer, which `sample_traces` counts in
     # its memory estimate
     products = np.empty(r)
-    for a in range(len(config.l_list)):
+    for a, l1 in enumerate(config.l_list):
         for b in range(a, len(config.l_list)):
-            l1, l2 = config.l_list[a], config.l_list[b]
+            l2 = config.l_list[b]
             np.multiply(traces[:, a], traces[:, b], out=products)
-            empirical = float(products.sum() / (r - 1))
-            se = _jackknife_cov_se(products)
+            total = products.sum()
+            empirical = float(total / (r - 1))
+            if a == b:  # the variance of l1's traces gives its mean's error
+                mean, se = column_means[a], math.sqrt(empirical) / math.sqrt(r)
+                exact = reference.means.get(l1)
+                exact_f = None if exact is None else float(exact)
+                means.append(MeanStat(l1, mean, se, exact_f, _z_score(mean, exact_f, se)))
+            se = _jackknife_cov_se(products, total)
             exact = reference.covariances.get((l1, l2))
             if exact is None:
                 exact = reference.covariances.get((l2, l1))

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import pairwise
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,7 +435,8 @@ def _moment_stats(traces: np.ndarray):
     for a in range(traces.shape[1]):
         for b in range(a, traces.shape[1]):
             products = _centred_products(traces[:, a], traces[:, b])
-            covs[(a, b)] = (products.sum() / (r - 1), _jackknife_cov_se(products))
+            total = products.sum()
+            covs[(a, b)] = (total / (r - 1), _jackknife_cov_se(products, total))
     return means, covs
 
 
@@ -591,10 +595,93 @@ def test_jackknife_se_is_shift_invariant():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(2000)
     y = x + rng.standard_normal(2000)
-    se = _jackknife_cov_se(_centred_products(x, y))
+    products = _centred_products(x, y)
+    se = _jackknife_cov_se(products, products.sum())
     assert se > 0
     shifted = _centred_products(x + 1e8, y + 1e8)
-    assert _jackknife_cov_se(shifted) == pytest.approx(se, rel=1e-6)
+    assert _jackknife_cov_se(shifted, shifted.sum()) == pytest.approx(se, rel=1e-6)
+
+
+def test_jackknife_se_is_the_leave_one_out_jackknife():
+    # brute force: the sample covariance of each r - 1 rows, summed exactly
+    rng = np.random.default_rng(11)
+    r = 60
+    x = rng.standard_normal(r) + 3.0
+    y = x * x + rng.standard_normal(r)
+    left_out = []
+    for i in range(r):
+        xs, ys = np.delete(x, i), np.delete(y, i)
+        mx, my = math.fsum(xs) / (r - 1), math.fsum(ys) / (r - 1)
+        left_out.append(math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys)) / (r - 2))
+    centre = math.fsum(left_out) / r
+    expected = math.sqrt((r - 1) / r * math.fsum((v - centre) ** 2 for v in left_out))
+    products = _centred_products(x, y)
+    assert _jackknife_cov_se(products, products.sum()) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
+def test_mean_errors_are_the_column_standard_deviations(dist):
+    cfg = _config(p=4, n=8, l_list=(1, 2, 3), replications=3073, distribution=dist)
+    traces = sample_traces(cfg)
+    r = cfg.replications
+    for stat, col in zip(simulate(cfg).means, traces.T):
+        assert stat.empirical == float(col.mean())
+        assert stat.se == float(col.std(ddof=1)) / math.sqrt(r)
+
+
+def _blas_env(threads: int) -> dict[str, str]:
+    return {
+        **os.environ,
+        "PYTHONPATH": str(Path(montecarlo.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "OMP_NUM_THREADS": str(threads),
+    }
+
+
+@pytest.mark.parametrize("dist, p, n, reps", [
+    ("gaussian", 4, 8, 50000),
+    ("rademacher", 4, 8, 50000),
+    ("uniform", 4, 8, 50000),
+    ("uniform", 50, 100, 4000),
+])
+def test_reports_do_not_depend_on_the_blas_thread_count(dist, p, n, reps):
+    argv = [sys.executable, "-m", "tracemoments", "simulate", "--p", str(p), "--n", str(n),
+            "--l", "1,2,3", "--reps", str(reps), "--dist", dist, "--seed", "9",
+            "--no-reference", "--no-timestamp"]
+    one, two = (
+        subprocess.run(argv, capture_output=True, env=_blas_env(threads), timeout=120, check=True)
+        for threads in (1, 2)
+    )
+    assert one.stdout == two.stdout
+
+
+# prints the process CPU time burned over a 100 ms sleep after a simulation,
+# once the process has settled: importing numpy starts BLAS threads that spin
+# for a while before they sleep
+IDLE_CHECK = """
+import time
+from tracemoments.montecarlo import SimulationConfig, simulate
+
+def burned(seconds):
+    start = time.process_time()
+    time.sleep(seconds)
+    return time.process_time() - start
+
+settled = time.monotonic() + 5.0
+while burned(0.05) >= 0.005 and time.monotonic() < settled:
+    pass
+simulate(SimulationConfig(4, 8, (1, 2, 3), 50000, "gaussian", 9))
+print(burned(0.1))
+"""
+
+
+@pytest.mark.skipif(montecarlo._usable_cores() < 2, reason="needs two cores")
+def test_simulate_leaves_no_blas_thread_spinning():
+    proc = subprocess.run(
+        [sys.executable, "-c", IDLE_CHECK],
+        capture_output=True, text=True, env=_blas_env(2), timeout=120, check=True,
+    )
+    assert float(proc.stdout) < 0.02
 
 
 def test_report_serialization():
