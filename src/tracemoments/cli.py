@@ -52,6 +52,8 @@ def _rational(text: str, name: str) -> Fraction:
 
 def _resolve_alpha(args) -> Fraction | None:
     if args.alpha is not None:
+        if args.dist is not None:
+            raise ValueError("--alpha and --dist are mutually exclusive")
         return _rational(args.alpha, "fourth moment")
     if args.dist is not None:
         return preset_alpha(args.dist)
@@ -60,6 +62,8 @@ def _resolve_alpha(args) -> Fraction | None:
 
 def _resolve_moments(args, order: int) -> MomentSequence:
     if args.moments is not None:
+        if args.dist is not None:
+            raise ValueError("--moments and --dist are mutually exclusive")
         moments = MomentSequence.parse(args.moments)
         if moments.order < order:
             raise ValueError(

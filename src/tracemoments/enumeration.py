@@ -1,16 +1,18 @@
 """Exact oracle: enumeration behind every closed form, independent of it.
 
-A walk's weight depends only on the multiset of its reversed-adjacency
-exponents, so means and covariances alike count route pairs by exponent
-signature.  The signature depends only on which row positions and which
-column positions share a label, so the census runs over pairs (pi, sigma) of
-set partitions of the positions, in blocks memoized per (lengths, |pi|,
-|sigma|), and each vertex count r merges the blocks it admits, weighted by
-the number of labelled route pairs a pair stands for.  Since m_0 = 1, m_1 = 0
-and m_2 = 1, a signature is a moment monomial, so every inner sum is an exact
-polynomial in the moments: evaluated with one weighing per monomial, or read
-off as an affine function of the fourth moment, with a check that no other
-monomial carries weight.
+A walk's weight is the product of the entry moments that its
+reversed-adjacency exponents pick out: a moment monomial, with the factors
+m_2 = 1 left out, or nothing when an exponent is 1 (m_1 = 0).  A double walk
+stands for its joint monomial minus that of its two walks apart.  So means
+and covariances alike count route pairs by monomial, and every inner sum is
+an exact polynomial in the moments: evaluated with one weighing per
+monomial, or read off as an affine function of the fourth moment, with a
+check that no other monomial carries weight.  The exponents depend only on
+which row positions and which column positions share a label, so the census
+runs over pairs (pi, sigma) of set partitions of the positions, in blocks
+memoized per (lengths, |pi|, |sigma|), and each vertex count r merges the
+blocks it admits, weighted by the number of labelled route pairs a pair
+stands for.
 The seed-class censuses trim labelled walks, whose label order matters, so
 they keep the labels.  Their buckets depend on the walk's shape and colours,
 not on which label of a colour is which, so they visit one route pair per
@@ -20,7 +22,7 @@ _label_strings(length, b, w): strings whose w labels above b first appear in
 increasing order, labels 1..b being free.  At b = 0 these are the set
 partitions; at the black count b they are the class representatives of the
 columns k.
-A closed walk's signature, seed class and double bucket do not depend on
+A closed walk's exponents, seed class and double bucket do not depend on
 where each walk starts, so every census visits one row (pi, or i) per orbit
 of rotating each walk's positions, _row_orbits, weighted by the orbit size,
 against every column.  Rotating both strings of one walk and renaming
@@ -158,7 +160,7 @@ def _first_appearance(string: Route) -> Route:
 
 
 # ---------------------------------------------------------------------------
-# the signature census and its weighted inner sums
+# the monomial census and its weighted inner sums
 
 
 def _validate_pair_params(l: int, r: int, b: int) -> None:
@@ -183,10 +185,19 @@ def _walk_counts(i: Route, k: Route) -> dict[tuple[int, int], int]:
     return counts
 
 
+def _monomial(exponents: Iterable[int]) -> tuple[int, ...]:
+    """The moment monomial of exponents with no 1 among them: m_2 = 1 left out."""
+    return tuple(sorted([e for e in exponents if e != 2]))
+
+
 @lru_cache(maxsize=None)
 def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
-    """Partition pairs (pi, sigma) with |pi| = b and |sigma| = s, by signature.
+    """Partition pairs (pi, sigma) with |pi| = b and |sigma| = s, by monomial.
 
+    A walk adds the monomial of its exponents.  A double walk adds that of its
+    joint exponents and subtracts that of its two walks' exponents together.
+    A term whose exponents hold a 1 is m_1 = 0 and adds nothing; a 1 among the
+    joint exponents is an edge one walk crosses once, so it drops both terms.
     One pi per rotation orbit is visited against every sigma, counted once
     for each pi of its orbit.
     """
@@ -196,7 +207,9 @@ def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
     if len(lengths) == 1:
         for k in columns:
             for i, size in rows:
-                block[tuple(sorted(_walk_counts(i, k).values()))] += size
+                exponents = _walk_counts(i, k).values()
+                if 1 not in exponents:
+                    block[_monomial(exponents)] += size
     else:
         l1 = lengths[0]
         for km in columns:
@@ -207,23 +220,29 @@ def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
                 joint = dict(first)
                 for edge, c in second.items():
                     joint[edge] = joint.get(edge, 0) + c
-                block[(
-                    tuple(sorted(joint.values())),
-                    tuple(sorted(first.values())),
-                    tuple(sorted(second.values())),
-                )] += size
+                if 1 in joint.values():
+                    continue
+                block[_monomial(joint.values())] += size
+                apart = [*first.values(), *second.values()]
+                if 1 not in apart:
+                    block[_monomial(apart)] -= size
     return block
 
 
-def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
-    """Count canonical route pairs by the exponent signature of their walks.
+def signature_census(
+    lengths: tuple[int, ...], r: int, b: int
+) -> dict[tuple[int, ...], int]:
+    """The canonical route pairs of (lengths, r, b) as a moment polynomial.
 
     `lengths` is (l,) for one walk or (l1, l2) for a double walk, whose route
-    pairs of length l1+l2 are split after l1.  A walk's key is its sorted
-    reversed-adjacency exponents; a double walk's key is (joint, first,
-    second), the sorted exponents of the pair and of each walk.
+    pairs of length l1+l2 are split after l1.  The result is {monomial:
+    count}, a monomial being the sorted tuple of its moment orders, () being
+    1: a walk stands for the monomial of its reversed-adjacency exponents, a
+    double walk for that of its joint exponents minus that of its two walks'
+    exponents together.  Factors m_2 = 1 are left out, exponents with an
+    m_1 = 0 stand for nothing, and monomials that cancel are dropped.
 
-    The key depends only on which row positions (of i) and which column
+    The exponents depend only on which row positions (of i) and which column
     positions (of k) share a label, so the census runs over pairs (pi, sigma)
     of set partitions of the positions.  With |pi| = b and |sigma| = s, a
     pair stands for b! (s)_{r-b} (b)_{s-r+b} route pairs: i labels pi's
@@ -231,7 +250,7 @@ def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
     distinct blocks of sigma and distinct labels of [b] to the rest.  The
     pairs are counted once per (lengths, b, s), in memoized blocks that every
     r with r - b <= s <= r merges with its own multiplicity.  Rotating a
-    walk's positions keeps its signature, so a block visits one pi per
+    walk's positions keeps its exponents, so a block visits one pi per
     rotation orbit (at l = 5, 12 of the 52 partitions) against every sigma
     and counts it once per pi of the orbit.
     """
@@ -242,32 +261,9 @@ def signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
     census: Counter = Counter()
     for s in range(max(r - b, 1), min(r, total) + 1):
         multiplicity = factorial(b) * perm(s, r - b) * perm(b, s - r + b)
-        for signature, count in _census_block(lengths, b, s).items():
-            census[signature] += multiplicity * count
-    return census
-
-
-def _moment_polynomial(
-    lengths: tuple[int, ...], r: int, b: int
-) -> dict[tuple[int, ...], int]:
-    """The census of (lengths, r, b) as an exact polynomial {monomial: count}.
-
-    A monomial is the sorted tuple of its moment orders, () being 1.  A walk
-    stands for the monomial of its exponents, a double walk for that of its
-    joint exponents minus that of its two walks' exponents together.  Factors
-    m_2 = 1 are left out, and exponents with an m_1 = 0 stand for nothing.
-    """
-    polynomial: Counter = Counter()
-    for signature, count in signature_census(lengths, r, b).items():
-        if len(lengths) == 1:
-            terms = ((signature, count),)
-        else:
-            joint, first, second = signature
-            terms = ((joint, count), (tuple(sorted(first + second)), -count))
-        for exponents, c in terms:
-            if 1 not in exponents:
-                polynomial[tuple(e for e in exponents if e != 2)] += c
-    return {monomial: c for monomial, c in polynomial.items() if c}
+        for monomial, count in _census_block(lengths, b, s).items():
+            census[monomial] += multiplicity * count
+    return {monomial: count for monomial, count in census.items() if count}
 
 
 def _inner_sum(
@@ -278,14 +274,14 @@ def _inner_sum(
     if moments.order < order:
         raise ValueError(f"moment sequence must cover order {order}")
     total = Fraction(0)
-    for monomial, count in _moment_polynomial(lengths, r, b).items():
+    for monomial, count in signature_census(lengths, r, b).items():
         total += count * weight_of_exponents(monomial, moments)
     return total
 
 
 def _affine_part(lengths: tuple[int, ...], r: int, b: int) -> AffineAlpha:
     """The moment polynomial of (lengths, r, b) as c0 + c1*m4, checked to be one."""
-    polynomial = _moment_polynomial(lengths, r, b)
+    polynomial = signature_census(lengths, r, b)
     others = sorted(set(polynomial) - {(), (4,)})
     if others:
         named = ", ".join("*".join(f"m{e}" for e in monomial) for monomial in others)
@@ -384,7 +380,7 @@ def exact_trace_covariance(
     *,
     allow_large: bool = False,
 ) -> Fraction:
-    """Exact Cov[tr(S^l1), tr(S^l2)] from the double-walk signature census."""
+    """Exact Cov[tr(S^l1), tr(S^l2)] from the double-walk monomial census."""
     if min(l1, l2, p, n) < 1:
         raise ValueError(f"l1, l2, p, n must be positive, got {(l1, l2, p, n)}")
     _check_guard(l1 + l2, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")

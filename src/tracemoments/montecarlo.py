@@ -339,25 +339,22 @@ def _spans(
     """The spans the threads take in turn, in order, each as (its first
     replication, the edges of its chunks counted from there).
 
-    A span of k consecutive whole batches is traced as one chunk, where
-    k = min(budget // (widest * BATCH_SIZE), batches // workers) is at least
-    2: the chunk's largest array fits the budget, and every thread has a span
-    to take.  Otherwise a span is one batch, cut by `_chunk_edges`.  A final
-    batch of one replication is a span alone, as `_chunk_edges` keeps it.
+    A span is k consecutive whole batches, cut by `_chunk_edges`, where
+    k = max(1, min(budget // (widest * BATCH_SIZE), batches // workers)):
+    a span of several batches fits the budget as one chunk, and every thread
+    has a span to take.  A final batch of one replication is a span alone,
+    as `_chunk_edges` keeps it.
     """
-    starts = range(0, reps, BATCH_SIZE)
-    whole = min(budget // (widest * BATCH_SIZE), len(starts) // workers)
-    if whole > 1:
-        lone = reps % BATCH_SIZE == 1
-        firsts = list(range(0, reps - lone, whole * BATCH_SIZE))
-        if lone:
-            firsts.append(reps - 1)
-        return [(first, [0, stop - first]) for first, stop in pairwise([*firsts, reps])]
-    edges = {
-        count: _chunk_edges(count, widest, budget, align)
-        for count in {min(BATCH_SIZE, reps), reps - starts[-1]}
-    }
-    return [(first, edges[min(BATCH_SIZE, reps - first)]) for first in starts]
+    batches = -(-reps // BATCH_SIZE)
+    k = max(1, min(budget // (widest * BATCH_SIZE), batches // workers))
+    lone = reps % BATCH_SIZE == 1
+    firsts = list(range(0, reps - lone, k * BATCH_SIZE))
+    if lone:
+        firsts.append(reps - 1)
+    return [
+        (first, _chunk_edges(stop - first, widest, budget, align))
+        for first, stop in pairwise([*firsts, reps])
+    ]
 
 
 def _band_powers(tri: np.ndarray, top: int, buffers: _Buffers) -> list[np.ndarray]:

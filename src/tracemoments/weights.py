@@ -210,19 +210,6 @@ def weight(graph: CircuitMultigraph, moments: MomentSequence) -> Fraction:
     )
 
 
-def covariance_weight_of_exponents(
-    joint: Iterable[int],
-    first: Iterable[int],
-    second: Iterable[int],
-    moments: MomentSequence,
-) -> Fraction:
-    """Weight of the joint exponents minus the product of the walks' weights."""
-    separate = weight_of_exponents(first, moments) * weight_of_exponents(
-        second, moments
-    )
-    return weight_of_exponents(joint, moments) - separate
-
-
 def covariance_weight(
     double: DoubleCircuitMultigraph, moments: MomentSequence
 ) -> Fraction:
@@ -232,6 +219,6 @@ def covariance_weight(
     combined = dict(c1)
     for edge, c in c2.items():
         combined[edge] = combined.get(edge, 0) + c
-    return covariance_weight_of_exponents(
-        combined.values(), c1.values(), c2.values(), moments
+    return weight_of_exponents(combined.values(), moments) - weight_of_exponents(
+        [*c1.values(), *c2.values()], moments
     )

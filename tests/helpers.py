@@ -1,8 +1,9 @@
 """Shared enumeration utilities for the tests: route spaces that filter
 every label string of a length (built here, never by the oracle's
 label-string generator), the labelled route pairs and their rotation
-orbits, Prufer trees, a route-pair reference for the signature census,
-inner sums weighed one signature at a time and their affine reading at two
+orbits, Prufer trees, a route-pair reference for the signature census and
+its moment polynomial, inner sums weighed one reference signature at a time
+with no oracle call, and their affine reading at two
 formal moment sequences, a per-quadruple reference for the covariance
 oracle, rescanning trims with label-level seed-class censuses that visit
 every route pair, the orbit-loop double census that trims one route
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from tracemoments.closedform import binom
-from tracemoments.enumeration import _validate_pair_params, signature_census
+from tracemoments.enumeration import _validate_pair_params
 from tracemoments.graphs import (
     KIND_BALANCED_PAIR,
     KIND_DOUBLE_ONE_D_RING,
@@ -51,7 +52,6 @@ from tracemoments.weights import (
     AffineAlpha,
     MomentSequence,
     covariance_weight,
-    covariance_weight_of_exponents,
     weight_of_exponents,
 )
 
@@ -193,8 +193,12 @@ def split_route_pairs(l1: int, l2: int, r: int, b: int):
         yield ij[:l1], km[:l1], ij[l1:], km[l1:]
 
 
+@lru_cache(maxsize=None)
 def reference_signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
-    """signature_census by visiting every labelled route pair, one at a time."""
+    """Canonical route pairs by exponent signature, visiting every labelled
+    route pair one at a time: a walk's signature is its sorted reversed-adjacency
+    exponents, a double walk's is (joint, first, second), the sorted exponents
+    of the pair and of each walk.  Memoized: do not change the result."""
     census: Counter = Counter()
     if len(lengths) == 1:
         for i, k in iter_route_pairs(lengths[0], r, b):
@@ -213,15 +217,40 @@ def reference_signature_census(lengths: tuple[int, ...], r: int, b: int) -> Coun
     return census
 
 
+def reference_moment_polynomial(lengths: tuple[int, ...], r: int, b: int) -> dict:
+    """The reference signatures as {monomial: count}, as signature_census gives them.
+
+    A walk stands for the monomial of its exponents, a double walk for that of
+    its joint exponents minus that of its two walks' exponents together.
+    Factors m_2 = 1 are left out, exponents with an m_1 = 0 stand for nothing,
+    and monomials that cancel are dropped.
+    """
+    polynomial: Counter = Counter()
+    for signature, count in reference_signature_census(lengths, r, b).items():
+        if len(lengths) == 1:
+            terms = ((signature, count),)
+        else:
+            joint, first, second = signature
+            terms = ((joint, count), (first + second, -count))
+        for exponents, c in terms:
+            if 1 not in exponents:
+                polynomial[tuple(sorted(e for e in exponents if e != 2))] += c
+    return {monomial: c for monomial, c in polynomial.items() if c}
+
+
 def reference_inner_sum(lengths: tuple[int, ...], r: int, b: int, moments) -> Fraction:
-    """The oracle's inner sum with every census signature weighed on its own:
-    walk weights for one walk, covariance weights for two."""
+    """The inner sum with every reference signature weighed on its own: the
+    walk weight for one walk, joint weight minus the walks' product for two."""
     total = Fraction(0)
-    for signature, count in signature_census(lengths, r, b).items():
+    for signature, count in reference_signature_census(lengths, r, b).items():
         if len(lengths) == 1:
             total += count * weight_of_exponents(signature, moments)
         else:
-            total += count * covariance_weight_of_exponents(*signature, moments)
+            joint, first, second = signature
+            total += count * (
+                weight_of_exponents(joint, moments)
+                - weight_of_exponents(first, moments) * weight_of_exponents(second, moments)
+            )
     return total
 
 

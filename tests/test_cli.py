@@ -124,6 +124,31 @@ def test_census_double_rejects_empty_walks(capsys):
         assert "l1 and l2 must be positive" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("mean-oracle", "--l", "2", "--moments", "1,0,1,0,3"), "--moments and --dist"),
+    (("cov-oracle", "--l1", "1", "--l2", "1", "--moments", "1,0,1,0,3"),
+     "--moments and --dist"),
+    (("mean-closed", "--l", "2", "--alpha", "3"), "--alpha and --dist"),
+    (("cov-closed", "--l1", "1", "--l2", "1", "--alpha", "3"), "--alpha and --dist"),
+], ids=["mean-oracle", "cov-oracle", "mean-closed", "cov-closed"])
+def test_dist_with_explicit_moments_is_rejected(capsys, argv, message):
+    # every subcommand rejects two sources of one moment, as census rejects
+    # --l with --l1/--l2
+    status, out, err = run_cli(
+        capsys, *argv, "--p", "2", "--n", "3", "--dist", "gaussian", "--no-timestamp"
+    )
+    assert status == 1 and out == ""
+    assert err == f"error: {message} are mutually exclusive\n"
+
+
+def test_census_rejects_both_shapes(capsys):
+    status, out, err = run_cli(
+        capsys, "census", "--l", "2", "--l1", "1", "--l2", "1", "--b", "1", "--no-timestamp"
+    )
+    assert status == 1 and out == ""
+    assert err == "error: --l and --l1/--l2 are mutually exclusive\n"
+
+
 def test_simulate_rejects_a_bad_power_list(capsys):
     status, out, err = run_cli(
         capsys, "simulate", "--p", "2", "--n", "3", "--l", "1,,2", "--reps", "200",

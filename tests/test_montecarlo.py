@@ -185,9 +185,8 @@ def test_span_plan(reps, widest, budget, workers, align):
     for first, edges in spans:
         stop = first + edges[-1]
         assert first % BATCH_SIZE == 0 and edges[0] == 0
-        if stop <= first + BATCH_SIZE:  # one batch, cut as ever
-            assert edges == _chunk_edges(stop - first, widest, budget, align)
-        else:  # whole batches, one chunk within the budget
+        assert edges == _chunk_edges(stop - first, widest, budget, align)
+        if stop > first + BATCH_SIZE:  # whole batches, one chunk within the budget
             assert stop % BATCH_SIZE == 0 or stop == reps
             assert len(edges) == 2 and (stop - first) * widest <= budget
     if -(-reps // BATCH_SIZE) >= workers:  # no thread is left without a span

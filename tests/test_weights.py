@@ -34,7 +34,6 @@ from tracemoments.weights import (
     AffineAlpha,
     MomentSequence,
     covariance_weight,
-    covariance_weight_of_exponents,
     preset_alpha,
     preset_moments,
     weight,
@@ -188,9 +187,6 @@ def test_covariance_weight_examples():
     ) == 1
     rademacher = preset_moments("rademacher", 8)
     assert covariance_weight(build_double_graph((1, 2), (1, 2)), rademacher) == 0
-    # the same rule on exponents: the shared edge (1, 2) appears twice per walk
-    assert covariance_weight_of_exponents((4,), (2,), (2,), gaussian) == 2
-    assert covariance_weight_of_exponents((1, 1), (1,), (1,), gaussian) == 0
 
 
 def test_weight_invariant_under_leaf_removal():
