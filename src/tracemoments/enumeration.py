@@ -75,16 +75,14 @@ class CostGuardError(ValueError):
 
 
 def _check_guard(value: int, limit: int, allow_large: bool, what: str) -> None:
-    if value <= limit:
-        return
-    if allow_large and value <= limit + 1:
-        return
-    hint = (
-        ""
-        if allow_large
-        else "; pass --allow-large (allow_large=True in Python) to go one step further"
-    )
-    raise CostGuardError(f"{what}={value} exceeds the cost guard {limit}{hint}")
+    applied = limit + allow_large
+    if value > applied:
+        hint = (
+            " with --allow-large"
+            if allow_large
+            else "; pass --allow-large (allow_large=True in Python) to go one step further"
+        )
+        raise CostGuardError(f"{what}={value} exceeds the cost guard {applied}{hint}")
 
 
 # ---------------------------------------------------------------------------

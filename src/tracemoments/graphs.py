@@ -2,16 +2,13 @@
 
 A route is a tuple of positive vertex labels read as a closed walk; the graph it
 traces carries a linear edge order, which is what the black/white coloring and
-the reversal operator depend on.  All graph objects are immutable; derived data
-(colorings, seeds, classifications) is cached on first access, and a duplicated
-computation under concurrent access is benign because the result is always the
-same immutable value.
+the reversal operator depend on.  The graph objects are plain views of their
+routes: colorings, seeds and classifications are computed when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Collection, Sequence
 
 Route = tuple[int, ...]
@@ -299,11 +296,11 @@ class CircuitMultigraph:
     def __len__(self) -> int:
         return len(self.route)
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return route_edges(self.route)
 
-    @cached_property
+    @property
     def black_set(self) -> frozenset[int]:
         return black_labels(self.route)
 
@@ -326,30 +323,23 @@ class CircuitMultigraph:
         """Graph with the leaf removed, relabelled back to a canonical prefix."""
         return CircuitMultigraph(compact_labels(remove_leaf_from_route(self.route, leaf)))
 
-    @cached_property
-    def _seed_route_raw(self) -> Route:
-        return trim_route(self.route)
-
     def seed(self) -> "CircuitMultigraph":
-        return CircuitMultigraph(compact_labels(self._seed_route_raw))
-
-    @cached_property
-    def _seed_class(self) -> SeedClass:
-        return classify_leaf_free_route(self._seed_route_raw)
+        return CircuitMultigraph(compact_labels(trim_route(self.route)))
 
     def seed_class(self) -> SeedClass:
-        return self._seed_class
+        return classify_leaf_free_route(trim_route(self.route))
 
     def record(self) -> dict:
         """JSON-ready structured record of the graph."""
+        seed_class = self.seed_class()
         return {
             "route": format_route(self.route),
             "edges": [list(e) for e in self.edges],
             "black_set": sorted(self.black_set),
             "seed_route": format_route(self.seed().route),
             "seed_class": {
-                "kind": self._seed_class.kind,
-                "ring_length": self._seed_class.ring_length,
+                "kind": seed_class.kind,
+                "ring_length": seed_class.ring_length,
             },
         }
 
@@ -438,7 +428,7 @@ class DoubleCircuitMultigraph:
     def __repr__(self) -> str:
         return f"DoubleCircuitMultigraph({format_route(self.first)!r}, {format_route(self.second)!r})"
 
-    @cached_property
+    @property
     def black_set(self) -> frozenset[int]:
         return black_labels(self.first) | black_labels(self.second)
 
@@ -448,36 +438,26 @@ class DoubleCircuitMultigraph:
         leaves |= {v for v in balanced_leaf_labels(self.second) if v not in s1}
         return frozenset(leaves)
 
-    @cached_property
-    def _seed_routes_raw(self) -> tuple[Route, Route]:
+    def seed_routes_original_labels(self) -> tuple[Route, Route]:
         return trim_double(self.first, self.second)
 
-    def seed_routes_original_labels(self) -> tuple[Route, Route]:
-        return self._seed_routes_raw
-
     def seed(self) -> "DoubleCircuitMultigraph":
-        r1, r2 = self._seed_routes_raw
-        relabel = {v: i for i, v in enumerate(sorted(set(r1) | set(r2)), start=1)}
-        return DoubleCircuitMultigraph(
-            tuple(relabel[v] for v in r1), tuple(relabel[v] for v in r2)
-        )
-
-    @cached_property
-    def _seed_class(self) -> SeedClass:
-        return classify_leaf_free_double(*self._seed_routes_raw)
+        r1, r2 = self.seed_routes_original_labels()
+        joint = compact_labels(r1 + r2)
+        return DoubleCircuitMultigraph(joint[: len(r1)], joint[len(r1) :])
 
     def seed_class(self) -> SeedClass:
-        return self._seed_class
+        return classify_leaf_free_double(*self.seed_routes_original_labels())
 
     def record(self) -> dict:
-        seed = self.seed()
+        seed, seed_class = self.seed(), self.seed_class()
         return {
             "routes": [format_route(self.first), format_route(self.second)],
             "black_set": sorted(self.black_set),
             "seed_routes": [format_route(seed.first), format_route(seed.second)],
             "seed_class": {
-                "kind": self._seed_class.kind,
-                "ring_length": self._seed_class.ring_length,
+                "kind": seed_class.kind,
+                "ring_length": seed_class.ring_length,
             },
         }
 

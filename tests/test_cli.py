@@ -181,19 +181,21 @@ def test_bad_rationals_are_named(capsys):
 
 
 def test_closed_stdout_exits_one_quietly():
-    # the reader is gone before the command writes, as with `| head -c 10`
-    read, write = os.pipe()
-    os.close(read)
+    # the reader is gone before the command writes, as with `| head -c 10`;
+    # both module entry points of the command line exit the same way
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "tracemoments.cli", "verify", "--suite", "taylor"],
-            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
-    finally:
-        os.close(write)
-    assert proc.returncode == 1
-    assert proc.stderr == b""
+    for module in ("tracemoments.cli", "tracemoments"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "verify", "--suite", "taylor",
+                 "--no-timestamp"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b""), module
 
 
 def test_verify_rejects_max_l_below_one(capsys):
@@ -312,6 +314,44 @@ def test_cost_guard_hint_names_the_flag(capsys):
     )
     assert status == 1 and out == ""
     assert "cost guard" in err and "--allow-large" in err
+
+
+def test_cost_guard_names_the_limit_it_applied(capsys):
+    for argv, message in [
+        (("census", "--l", "7", "--b", "2"),
+         "l=7 exceeds the cost guard 5; pass --allow-large (allow_large=True in Python)"
+         " to go one step further"),
+        (("census", "--l", "7", "--b", "2", "--allow-large"),
+         "l=7 exceeds the cost guard 6 with --allow-large"),
+        (("cov-oracle", "--l1", "3", "--l2", "3", "--p", "2", "--n", "3",
+          "--dist", "gaussian", "--allow-large"),
+         "l1+l2=6 exceeds the cost guard 5 with --allow-large"),
+    ]:
+        status, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert status == 1 and out == "", argv
+        assert err == f"error: {message}\n"
+
+
+# input checks that the CLI reports as errors, each with its exact message
+VALIDATION_ERRORS = [
+    (("cov-oracle", "--l1", "1", "--l2", "1", "--p", "2", "--n", "3", "--moments", "1,0,1"),
+     "moment list covers order 2, need 4"),
+    (("mean-oracle", "--l", "0", "--p", "2", "--n", "3", "--dist", "gaussian"),
+     "l, p, n must be positive, got (0, 2, 3)"),
+    (("cov-oracle", "--l1", "0", "--l2", "1", "--p", "2", "--n", "3", "--dist", "gaussian"),
+     "l1, l2, p, n must be positive, got (0, 1, 2, 3)"),
+    (("census", "--l1", "1", "--l2", "1", "--b", "3"), "need 1 <= b <= l1+l2, got b=3"),
+    (("simulate", "--p", "2", "--n", "3", "--l", "1", "--reps", "200", "--dist", "gaussian",
+      "--seed", "18446744073709551616"), "rng_seed must fit in 64 bits"),
+]
+
+
+@pytest.mark.parametrize("argv, message", VALIDATION_ERRORS,
+                         ids=["moment-order", "mean-sizes", "cov-sizes", "census-b", "seed"])
+def test_validation_errors_exit_one_with_their_message(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert status == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_workers_option_is_gone(capsys):

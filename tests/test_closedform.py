@@ -274,6 +274,8 @@ def test_count_double_ring_sprouts():
     assert count_double_ring_sprouts("two-d", 2, 1, 0, 0, 0) == 4
     with pytest.raises(ValueError):
         count_double_ring_sprouts("two-d", 3, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="kind must be 'one-d' or 'two-d'"):
+        count_double_ring_sprouts("x", 4, 0, 0, 0, 0)
 
 
 def test_count_bipartite_forced_edge_examples():
@@ -282,6 +284,10 @@ def test_count_bipartite_forced_edge_examples():
     assert count_bipartite_forced_edge(1, 1, (1, 2), (1, 2)) == 0
     with pytest.raises(ValueError):
         count_bipartite_forced_edge(1, 1, (2, 2), (2, 1))
+    with pytest.raises(ValueError, match="degree lists must have lengths b\\+1 and w\\+1"):
+        count_bipartite_forced_edge(1, 1, [1], [1, 1])
+    with pytest.raises(ValueError, match="spanning-tree degrees are at least 1"):
+        count_bipartite_forced_edge(1, 1, [0, 3], [2, 1])
 
 
 def test_taylor_identity_examples():

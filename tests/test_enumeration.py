@@ -179,6 +179,11 @@ def test_affine_reading_below_l_vertices():
         inner_weight_sum_affine(3, 2, 1)
 
 
+def test_signature_census_takes_one_or_two_walks():
+    with pytest.raises(ValueError, match=r"need one or two walk lengths, got \(1, 1, 1\)"):
+        signature_census((1, 1, 1), 3, 1)
+
+
 def test_covariance_affine_reading_rejects_higher_moments(monkeypatch):
     # a joint m6 edge, less the m4 of its walks apart: first m2, second m4
     census = {(6,): 1, (4,): -1}
@@ -278,8 +283,8 @@ def test_exact_trace_covariance_no_support_beyond_vertex_budget():
 
 @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)])
 def test_covariance_census_matches_per_quadruple_reference(l1, l2):
-    # the signature census weighs each (joint, first, second) exponent
-    # signature once; the reference weighs every double graph on its own.
+    # the signature census weighs each moment monomial once; the reference
+    # weighs every double graph on its own.
     # At 4 x 8 and 8 x 4 every (r, b) with r <= 2(l1+l2), b <= l1+l2 occurs.
     presets = [preset_moments(name, 8) for name in ("gaussian", "rademacher", "uniform")]
     for moments in presets + [SKEWED_8]:

@@ -115,6 +115,10 @@ def test_seed_examples():
     assert build_graph((2, 4, 4, 3, 1, 3)).seed().route == (1, 3, 3, 2)
     assert build_graph((1, 2)).seed().route == (1, 2)
     assert build_graph((3, 1, 2, 1, 5, 1, 2, 4, 2, 1)).seed().route == (2, 1, 2, 1)
+    # the class is that of the seed, not of the route with its leaves
+    assert build_graph((1, 2, 1, 3)).seed_class() == BALANCED_PAIR_SEED
+    assert build_graph((1, 2, 1, 2, 3, 2)).seed_class() == two_d_ring(2)
+    assert build_graph((1, 2, 3, 1, 2, 4, 2, 3)).seed_class() == one_d_ring(3)
 
 
 def test_seed_double_examples():
@@ -122,6 +126,12 @@ def test_seed_double_examples():
     assert build_double_graph((1, 2), (2, 1)).seed() == build_double_graph((1, 2), (2, 1))
     seed = build_double_graph((1, 2, 1, 3), (1, 4)).seed()
     assert (seed.first, seed.second) == ((1, 2), (1, 3))
+    g = build_double_graph((1, 3, 1, 2), (1, 2))
+    assert g.seed() == build_double_graph((1, 2), (1, 2))
+    assert g.seed_class() == double_two_d_ring(2)
+    g = build_double_graph((1, 4, 1, 2, 3), (1, 2, 3))
+    assert g.seed() == build_double_graph((1, 2, 3), (1, 2, 3))
+    assert g.seed_class() == double_one_d_ring(3)
 
 
 def test_classify_seed_examples():
