@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -25,22 +26,13 @@ from typing import Sequence
 
 from . import closedform, enumeration, verify
 from .graphs import CircuitMultigraph, DoubleCircuitMultigraph, parse_route
-from .weights import AffineAlpha, MomentSequence, preset_alpha, preset_moments
+from .weights import MomentSequence, preset_alpha, preset_moments
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to status 2
         self.print_usage(sys.stderr)
         raise ValueError(message)
-
-
-def _frac(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _affine(x: AffineAlpha) -> dict:
-    return {"c0": _frac(x.c0), "c1": _frac(x.c1)}
 
 
 def _rational(text: str, name: str) -> Fraction:
@@ -75,10 +67,20 @@ def _resolve_moments(args, order: int) -> MomentSequence:
     raise ValueError("provide --dist or --moments")
 
 
+def _json(x):
+    """The `json.dumps` hook for exact results: a Fraction as "num/den", a
+    dataclass as its fields in declaration order."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if dataclasses.is_dataclass(x):
+        return vars(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, args) -> None:
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(payload))
+    print(json.dumps(payload, default=_json))
 
 
 def _cmd_mean_closed(args) -> int:
@@ -89,20 +91,12 @@ def _cmd_mean_closed(args) -> int:
         "l": args.l,
         "p": args.p,
         "n": args.n,
-        "coeff": _affine(value),
-        "terms": [
-            {
-                "b": t.b,
-                "tree_part": _frac(t.tree_part),
-                "ring_part": _affine(t.ring_part),
-                "error_order": t.error_order,
-            }
-            for t in terms
-        ],
+        "coeff": value,
+        "terms": terms,
     }
     if alpha is not None:
-        payload["alpha"] = _frac(alpha)
-        payload["value"] = _frac(value.evaluate(alpha))
+        payload["alpha"] = alpha
+        payload["value"] = value.evaluate(alpha)
     _emit(payload, args)
     return 0
 
@@ -117,16 +111,8 @@ def _cmd_mean_oracle(args) -> int:
         "l": args.l,
         "p": args.p,
         "n": args.n,
-        "value": _frac(result.value),
-        "terms": [
-            {
-                "r": t.r,
-                "b": t.b,
-                "multiplicity": _frac(t.multiplicity),
-                "inner_sum": _frac(t.inner_sum),
-            }
-            for t in result.terms
-        ],
+        "value": result.value,
+        "terms": result.terms,
     }
     _emit(payload, args)
     return 0
@@ -141,15 +127,12 @@ def _cmd_cov_closed(args) -> int:
         "l2": args.l2,
         "p": args.p,
         "n": args.n,
-        "coeff": _affine(value),
-        "terms": [
-            {"b": t.b, "coeff": _affine(t.coeff), "error_order": t.error_order}
-            for t in terms
-        ],
+        "coeff": value,
+        "terms": terms,
     }
     if alpha is not None:
-        payload["alpha"] = _frac(alpha)
-        payload["value"] = _frac(value.evaluate(alpha))
+        payload["alpha"] = alpha
+        payload["value"] = value.evaluate(alpha)
     _emit(payload, args)
     return 0
 
@@ -165,7 +148,7 @@ def _cmd_cov_oracle(args) -> int:
         "l2": args.l2,
         "p": args.p,
         "n": args.n,
-        "value": _frac(value),
+        "value": value,
     }
     _emit(payload, args)
     return 0
@@ -247,7 +230,7 @@ def _cmd_verify(args) -> int:
 def _cmd_mp(args) -> int:
     y = _rational(args.y, "ratio")
     value = closedform.mp_moment(args.l, y)
-    _emit({"op": "mp", "l": args.l, "y": _frac(y), "value": _frac(value)}, args)
+    _emit({"op": "mp", "l": args.l, "y": y, "value": value}, args)
     return 0
 
 

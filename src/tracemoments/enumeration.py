@@ -514,7 +514,7 @@ def census_double(
     trims on its own with them held.  Per ij, each side keeps a table of
     its walks, one per distinct k (or m), and trims a walk once per shared
     label set.  The quadruples are counted by the pair of side results, and
-    each pair of distinct ring seeds is classified once per call.
+    the ring seeds of each such pair are classified once.
     """
     if l1 < 1 or l2 < 1:
         raise ValueError(f"l1 and l2 must be positive, got {(l1, l2)}")
@@ -531,7 +531,6 @@ def census_double(
         rows2.append(seconds.setdefault(km[l1:], len(seconds)))
     ks, ms = tuple(firsts), tuple(seconds)
     blacks = _label_mask(tuple(range(1, b + 1)))
-    classes: dict[tuple[Route, Route], SeedClass] = {}
     class_size = factorial(b) * factorial(r - b)
     buckets: dict[DoubleBucket, int] = {}
     for ij, size in _row_orbits((l1, l2), b):
@@ -556,11 +555,7 @@ def census_double(
             if ring1 is None or ring2 is None:
                 seed_class = DOUBLE_OTHER_SEED
             else:
-                seed_class = classes.get((ring1, ring2))
-                if seed_class is None:
-                    seed_class = classes[ring1, ring2] = classify_leaf_free_double(
-                        ring1, ring2
-                    )
+                seed_class = classify_leaf_free_double(ring1, ring2)
             key = (seed_class, (black1, black2, white1, white2))
             buckets[key] = buckets.get(key, 0) + class_size * size * count
     return buckets

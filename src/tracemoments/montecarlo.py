@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import pairwise
@@ -113,20 +113,7 @@ class SimulationReport:
     covariances: tuple[CovStat, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "p": self.config.p,
-                "n": self.config.n,
-                "l_list": list(self.config.l_list),
-                "replications": self.config.replications,
-                "distribution": self.config.distribution,
-                "rng_seed": self.config.rng_seed,
-            },
-            "rng_algorithm": self.rng_algorithm,
-            "batch_size": self.batch_size,
-            "means": [vars(s).copy() for s in self.means],
-            "covariances": [vars(s).copy() for s in self.covariances],
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["kind", "l1", "l2", "empirical", "exact", "se", "z"]]

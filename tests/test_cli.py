@@ -10,12 +10,15 @@ import sys
 import threading
 import tracemalloc
 from datetime import datetime
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tracemoments
 from tracemoments import cli, montecarlo
+from tracemoments.closedform import theorem1_mean
+from tracemoments.weights import preset_moments
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +277,22 @@ def test_outputs_parse_as_json(capsys):
         status, out, _ = run_cli(capsys, *argv)
         assert status == 0, argv
         json.loads(out)
+
+
+def test_json_hook_writes_fractions_and_dataclasses_only():
+    with pytest.raises(TypeError, match="MomentSequence"):
+        json.dumps(preset_moments("gaussian", 4), default=cli._json)
+    assert json.dumps([Fraction(3), Fraction(-2, 6)], default=cli._json) == '["3/1", "-1/3"]'
+    _, terms = theorem1_mean(3, 2, 5)
+    assert json.loads(json.dumps(terms, default=cli._json))[1] == {
+        "b": 2,
+        "tree_part": "12/1",
+        "ring_part": {"c0": "24/1", "c1": "6/1"},
+        "error_order": "O(p^2/n^3)",
+    }
+    assert list(json.loads(json.dumps(terms[1], default=cli._json))) == [
+        "b", "tree_part", "ring_part", "error_order"
+    ]
 
 
 def test_usage_errors_exit_one(capsys):

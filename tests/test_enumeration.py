@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +72,7 @@ from tracemoments.weights import (
     covariance_weight,
     preset_alpha,
     preset_moments,
+    weight_of_exponents,
 )
 
 GAUSSIAN_8 = preset_moments("gaussian", 8)
@@ -355,6 +356,52 @@ def test_transposition_identity_of_the_oracle_property(dist, l, p, n):
         lhs = exact_trace_covariance(l1, l2, p, n, moments)
         rhs = Fraction(p, n) ** (l1 + l2) * exact_trace_covariance(l1, l2, n, p, moments)
         assert lhs == rhs, (l1, l2)
+
+
+MIRROR_LENGTHS = [
+    (1,), (2,), (3,), (4,), (5,),
+    (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (2, 3),
+]
+
+
+def _nonzero(block):
+    # a Counter's unary + would also drop the negative covariance counts
+    return {monomial: count for monomial, count in block.items() if count}
+
+
+def test_census_blocks_are_symmetric_and_sum_to_the_oracle_untransposed():
+    # a block counts partition pairs (pi, sigma) of the row and the column
+    # positions; reading every walk from its column side swaps them
+    for lengths in MIRROR_LENGTHS:
+        for b, s in product(range(1, sum(lengths) + 1), repeat=2):
+            assert _nonzero(_census_block(lengths, b, s)) == _nonzero(
+                _census_block(lengths, s, b)
+            ), (lengths, b, s)
+    # a pair (pi, sigma) with |pi| = b and |sigma| = s stands for (p)_b (n)_s
+    # labelled walks, so n^sum(l) times the value is a sum over blocks in
+    # which p and n never trade places, on either side of p = n
+    laws = [preset_moments(name, 8) for name in ("gaussian", "rademacher", "uniform")]
+    lengths_list = [(l,) for l in range(1, 5)] + [
+        (l1, l2) for l1 in range(1, 4) for l2 in range(1, 5 - l1)
+    ]
+    for moments, (p, n), lengths in product(
+        [*laws, SKEWED_8],
+        [(4, 8), (8, 4), (3, 5), (5, 3), (2, 7), (7, 2), (1, 1), (1, 3)],
+        lengths_list,
+    ):
+        total = sum(lengths)
+        expected = sum(
+            perm(p, b) * perm(n, s) * sum(
+                count * weight_of_exponents(monomial, moments)
+                for monomial, count in _census_block(lengths, b, s).items()
+            )
+            for b, s in product(range(1, total + 1), repeat=2)
+        )
+        if len(lengths) == 1:
+            value = exact_trace_moment(*lengths, p, n, moments).value
+        else:
+            value = exact_trace_covariance(*lengths, p, n, moments)
+        assert n**total * value == expected, (moments, p, n, lengths)
 
 
 @settings(max_examples=100, deadline=None)

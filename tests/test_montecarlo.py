@@ -688,6 +688,10 @@ def test_report_serialization():
     report = simulate(cfg, oracle_references(cfg))
     payload = report.to_dict()
     assert payload["config"]["p"] == 2
+    # `asdict` keeps each field's container type: tuples of plain dicts
+    assert payload["config"]["l_list"] == cfg.l_list
+    assert type(payload["means"]) is tuple and type(payload["covariances"]) is tuple
+    assert payload["means"][0] == vars(report.means[0])
     assert payload["rng_algorithm"].startswith(
         "sfc64 spawned by SeedSequence(seed, spawn_key=(batch,)); "
     )
