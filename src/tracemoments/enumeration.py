@@ -5,14 +5,14 @@ reversed-adjacency exponents pick out: a moment monomial, with the factors
 m_2 = 1 left out, or nothing when an exponent is 1 (m_1 = 0).  A double walk
 stands for its joint monomial minus that of its two walks apart.  So means
 and covariances alike count route pairs by monomial, and every inner sum is
-an exact polynomial in the moments: evaluated with one weighing per
-monomial, or read off as an affine function of the fourth moment, with a
-check that no other monomial carries weight.  The exponents depend only on
-which row positions and which column positions share a label, so the census
-runs over pairs (pi, sigma) of set partitions of the positions, in blocks
-memoized per (lengths, |pi|, |sigma|), and each vertex count r merges the
-blocks it admits, weighted by the number of labelled route pairs a pair
-stands for.
+an exact polynomial in the moments, evaluated with one weighing per
+monomial; inner_weight_sum_affine alone reads a walk's polynomial as an
+affine function of the fourth moment, with a check that no other monomial
+carries weight.  The exponents depend only on which row positions and which
+column positions share a label, so the census runs over pairs (pi, sigma) of
+set partitions of the positions, in blocks memoized per (lengths, |pi|,
+|sigma|), and each vertex count r merges the blocks it admits, weighted by
+the number of labelled route pairs a pair stands for.
 The seed-class censuses trim labelled walks, whose label order matters, so
 they keep the labels.  Their buckets depend on the walk's shape and colours,
 not on which label of a colour is which, so they visit one route pair per
@@ -277,8 +277,14 @@ def _inner_sum(
     return total
 
 
-def _affine_part(lengths: tuple[int, ...], r: int, b: int) -> AffineAlpha:
-    """The moment polynomial of (lengths, r, b) as c0 + c1*m4, checked to be one."""
+def inner_weight_sum(l: int, r: int, b: int, moments: MomentSequence) -> Fraction:
+    """Sum of walk weights over all canonical route pairs for (l, r, b)."""
+    return _inner_sum((l,), r, b, moments)
+
+
+def inner_weight_sum_affine(l: int, r: int, b: int) -> AffineAlpha:
+    """Inner weight sum as c0 + c1*m4; ValueError if another monomial carries weight."""
+    lengths = (l,)
     polynomial = signature_census(lengths, r, b)
     others = sorted(set(polynomial) - {(), (4,)})
     if others:
@@ -287,18 +293,7 @@ def _affine_part(lengths: tuple[int, ...], r: int, b: int) -> AffineAlpha:
             f"inner sum at lengths={lengths}, r={r}, b={b} is not affine in the "
             f"fourth moment: it carries {named}"
         )
-    c0, c1 = polynomial.get((), 0), polynomial.get((4,), 0)
-    return AffineAlpha(Fraction(c0), Fraction(c1))
-
-
-def inner_weight_sum(l: int, r: int, b: int, moments: MomentSequence) -> Fraction:
-    """Sum of walk weights over all canonical route pairs for (l, r, b)."""
-    return _inner_sum((l,), r, b, moments)
-
-
-def inner_weight_sum_affine(l: int, r: int, b: int) -> AffineAlpha:
-    """Inner weight sum as c0 + c1*m4; ValueError if another monomial carries weight."""
-    return _affine_part((l,), r, b)
+    return AffineAlpha(Fraction(polynomial.get((), 0)), Fraction(polynomial.get((4,), 0)))
 
 
 def covariance_inner_sum(
@@ -306,11 +301,6 @@ def covariance_inner_sum(
 ) -> Fraction:
     """Inner covariance sum at exactly r = l1 + l2 vertices (Theorem 2's core)."""
     return _inner_sum((l1, l2), l1 + l2, b, moments)
-
-
-def covariance_inner_sum_affine(l1: int, l2: int, b: int) -> AffineAlpha:
-    """covariance_inner_sum as c0 + c1*m4, checked like inner_weight_sum_affine."""
-    return _affine_part((l1, l2), l1 + l2, b)
 
 
 # ---------------------------------------------------------------------------

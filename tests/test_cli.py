@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import tracemoments
-from tracemoments import cli, montecarlo
+from tracemoments import cli, enumeration, montecarlo
 from tracemoments.closedform import theorem1_mean
 from tracemoments.weights import preset_moments
 
@@ -519,6 +519,33 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, "verify", "--suite", "taylor", "--no-timestamp")
     assert status == 2
     assert json.loads(out)["failures"] == ["synthetic"]
+
+
+@pytest.mark.parametrize(
+    "suite,key,cases,failure",
+    [
+        ("mean-coeffs", ((3,), 3, 2), 10, "mean coefficient law fails at l=3, b=2"),
+        ("cov-coeffs", ((1, 2), 3, 2), 20,
+         "covariance coefficient law fails at l1=1, l2=2, b=2"),
+    ],
+    ids=["mean-coeffs", "cov-coeffs"],
+)
+def test_a_stray_moment_fails_its_case_and_exits_two(
+    capsys, monkeypatch, suite, key, cases, failure
+):
+    # one inner sum of the oracle gains an m6, which no coefficient law holds
+    census = enumeration.signature_census
+
+    def stray(lengths, r, b):
+        polynomial = census(lengths, r, b)
+        return {**polynomial, (6,): 1} if (lengths, r, b) == key else polynomial
+
+    monkeypatch.setattr(enumeration, "signature_census", stray)
+    status, out, err = run_cli(capsys, "verify", "--suite", suite, "--no-timestamp")
+    assert (status, err) == (2, "")
+    assert json.loads(out) == {
+        "op": "verify", "suite": suite, "cases": cases, "failures": [failure]
+    }
 
 
 # help, and usage errors raised by the top-level parser, by a command's

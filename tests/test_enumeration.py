@@ -47,7 +47,6 @@ from tracemoments.enumeration import (
     census_sprouting,
     clear_caches,
     covariance_inner_sum,
-    covariance_inner_sum_affine,
     exact_trace_covariance,
     exact_trace_moment,
     inner_weight_sum,
@@ -185,14 +184,6 @@ def test_signature_census_takes_one_or_two_walks():
         signature_census((1, 1, 1), 3, 1)
 
 
-def test_covariance_affine_reading_rejects_higher_moments(monkeypatch):
-    # a joint m6 edge, less the m4 of its walks apart: first m2, second m4
-    census = {(6,): 1, (4,): -1}
-    monkeypatch.setattr(enumeration, "signature_census", lambda *key: census)
-    with pytest.raises(ValueError, match=r"lengths=\(1, 1\), r=2, b=1 .* carries m6$"):
-        covariance_inner_sum_affine(1, 1, 1)
-
-
 def test_affine_readings_match_the_formal_sequence_reference():
     # every (l, r, b) of the mean-coeffs, tree-counts and vanishing suites and
     # every (l1, l2, b) of cov-coeffs, at their default max_l of 4
@@ -206,7 +197,9 @@ def test_affine_readings_match_the_formal_sequence_reference():
     for l1 in range(1, 4):
         for l2 in range(1, 5 - l1):
             for b in range(1, l1 + l2 + 1):
-                got = covariance_inner_sum_affine(l1, l2, b)
+                polynomial = signature_census((l1, l2), l1 + l2, b)
+                assert set(polynomial) <= {(), (4,)}, (l1, l2, b)
+                got = AffineAlpha(polynomial.get((), 0), polynomial.get((4,), 0))
                 assert got == reference_affine((l1, l2), l1 + l2, b), (l1, l2, b)
                 assert covariance_inner_sum(l1, l2, b, GAUSSIAN_8) == got.evaluate(3)
 

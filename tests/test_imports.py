@@ -56,6 +56,11 @@ def test_the_oracle_uses_no_other_method():
     assert not _imported("enumeration") & {"closedform", "verify", "montecarlo", "cli"}
 
 
+def test_the_suites_read_the_oracle_and_closed_forms_directly():
+    # no conversion on the weights side stands between a check and the oracle
+    assert _imported("verify") == {"closedform", "enumeration", "graphs"}
+
+
 def test_the_graphs_import_nothing_from_the_package():
     assert _imported("graphs") == set()
 

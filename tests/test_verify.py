@@ -51,6 +51,14 @@ def test_sprouting_suite_case_counts():
     assert run_suite("sprouting", 2)["cases"] == 18
 
 
+def test_allow_large_leaves_the_sprouting_cases_alone():
+    # the suite has no cost guard to lift, so max_l alone sizes it
+    for max_l in (1, 2, 3, None):
+        assert run_suite("sprouting", max_l, allow_large=True) == run_suite(
+            "sprouting", max_l
+        )
+
+
 def test_bs_cov_reports_a_corrupted_theorem2_entry(monkeypatch):
     true_rows = closedform.C_coeffs
 
