@@ -5,14 +5,20 @@ reversed-adjacency exponents pick out: a moment monomial, with the factors
 m_2 = 1 left out, or nothing when an exponent is 1 (m_1 = 0).  A double walk
 stands for its joint monomial minus that of its two walks apart.  So means
 and covariances alike count route pairs by monomial, and every inner sum is
-an exact polynomial in the moments, evaluated with one weighing per
-monomial; inner_weight_sum_affine alone reads a walk's polynomial as an
-affine function of the fourth moment, with a check that no other monomial
-carries weight.  The exponents depend only on which row positions and which
-column positions share a label, so the census runs over pairs (pi, sigma) of
-set partitions of the positions, in blocks memoized per (lengths, |pi|,
-|sigma|), and each vertex count r merges the blocks it admits, weighted by
-the number of labelled route pairs a pair stands for.
+an exact polynomial in the moments; inner_weight_sum_affine alone reads a
+walk's polynomial as an affine function of the fourth moment, with a check
+that no other monomial carries weight.  The exponents depend only on which
+row positions and which column positions share a label, so the census runs
+over pairs (pi, sigma) of set partitions of the positions, in blocks
+memoized per (lengths, |pi|, |sigma|), and each vertex count r merges the
+blocks it admits, weighted by the number of labelled route pairs a pair
+stands for.
+A value is reduced in integers.  A call reads the blocks it needs, weighs
+each distinct monomial in them once, scales the weights to one common
+denominator and sums each block to one integer, _block_sums.  A mean's term
+(r, b) multiplies these sums by the integer multiplicities of the pairs, so
+each term makes one Fraction; a covariance sums them with the falling
+factorials (p)_b (n)_s, with no transposition for p > n.
 The seed-class censuses trim labelled walks, whose label order matters, so
 they keep the labels.  Their buckets depend on the walk's shape and colours,
 not on which label of a colour is which, so they visit one route pair per
@@ -41,8 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, perm
-from typing import Callable, Iterable, Sequence
+from math import comb, factorial, lcm, perm
+from typing import Iterable, Sequence
 
 from .graphs import (
     DOUBLE_OTHER_SEED,
@@ -96,12 +102,15 @@ def _label_strings(length: int, b: int, w: int) -> tuple[Route, ...]:
     The strings over [b+w], in lexicographic order, in which every label of
     b+1..b+w appears, first appearing in increasing order: one string per
     orbit under permutations of those w labels.  With b = 0 these are the set
-    partitions of the positions into w blocks as restricted growth strings.
-    A string stops growing once it can no longer bring in all w labels.
+    partitions of the positions into w blocks as restricted growth strings,
+    read from one grow of them all.  With b > 0 a string stops growing once
+    it can no longer bring in all w labels.
     """
     last = b + w
     if not 0 <= w <= length:
         return ()
+    if b == 0:
+        return _set_partitions(length)[w]
     strings = [((), b)]  # (string, its top label), in lexicographic order
     for left in reversed(range(length)):  # positions after the one grown
         # any label up to the next new one, if one is left to bring in; only
@@ -114,6 +123,27 @@ def _label_strings(length: int, b: int, w: int) -> tuple[Route, ...]:
             )
         ]
     return tuple(string for string, _ in strings)
+
+
+@lru_cache(maxsize=None)
+def _set_partitions(length: int) -> tuple[tuple[Route, ...], ...]:
+    """The restricted growth strings of `length` positions by block count.
+
+    Entry w holds those with w blocks, in lexicographic order: the strings
+    are grown in that order, each position taking any label up to one above
+    the string's top label.
+    """
+    strings = [((), 0)]  # (string, its top label), in lexicographic order
+    for _ in range(length):
+        strings = [
+            (string + (v,), v if v > top else top)
+            for string, top in strings
+            for v in range(1, top + 2)
+        ]
+    by_blocks: list[list[Route]] = [[] for _ in range(length + 1)]
+    for string, top in strings:
+        by_blocks[top].append(string)
+    return tuple(map(tuple, by_blocks))
 
 
 @lru_cache(maxsize=None)
@@ -227,6 +257,16 @@ def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
     return block
 
 
+def _pair_multiplicity(r: int, b: int, s: int) -> int:
+    """Labelled route pairs on r vertices that one pair (pi, sigma) stands for.
+
+    With |pi| = b and |sigma| = s: b! (s)_{r-b} (b)_{s-r+b}.  i labels pi's
+    blocks with [b] in any order, and k gives the r-b labels of [r]\\[b] to
+    distinct blocks of sigma and distinct labels of [b] to the rest.
+    """
+    return factorial(b) * perm(s, r - b) * perm(b, s - r + b)
+
+
 def signature_census(
     lengths: tuple[int, ...], r: int, b: int
 ) -> dict[tuple[int, ...], int]:
@@ -242,15 +282,13 @@ def signature_census(
 
     The exponents depend only on which row positions (of i) and which column
     positions (of k) share a label, so the census runs over pairs (pi, sigma)
-    of set partitions of the positions.  With |pi| = b and |sigma| = s, a
-    pair stands for b! (s)_{r-b} (b)_{s-r+b} route pairs: i labels pi's
-    blocks with [b] in any order, and k gives the r-b labels of [r]\\[b] to
-    distinct blocks of sigma and distinct labels of [b] to the rest.  The
-    pairs are counted once per (lengths, b, s), in memoized blocks that every
-    r with r - b <= s <= r merges with its own multiplicity.  Rotating a
-    walk's positions keeps its exponents, so a block visits one pi per
-    rotation orbit (at l = 5, 12 of the 52 partitions) against every sigma
-    and counts it once per pi of the orbit.
+    of set partitions of the positions.  A pair with |pi| = b and |sigma| = s
+    stands for _pair_multiplicity(r, b, s) route pairs.  The pairs are
+    counted once per (lengths, b, s), in memoized blocks that every r with
+    r - b <= s <= r merges with its own multiplicity.  Rotating a walk's
+    positions keeps its exponents, so a block visits one pi per rotation
+    orbit (at l = 5, 12 of the 52 partitions) against every sigma and counts
+    it once per pi of the orbit.
     """
     if len(lengths) not in (1, 2):
         raise ValueError(f"need one or two walk lengths, got {lengths}")
@@ -258,23 +296,57 @@ def signature_census(
     _validate_pair_params(total, r, b)
     census: Counter = Counter()
     for s in range(max(r - b, 1), min(r, total) + 1):
-        multiplicity = factorial(b) * perm(s, r - b) * perm(b, s - r + b)
+        multiplicity = _pair_multiplicity(r, b, s)
         for monomial, count in _census_block(lengths, b, s).items():
             census[monomial] += multiplicity * count
     return {monomial: count for monomial, count in census.items() if count}
+
+
+def _block_sums(
+    lengths: tuple[int, ...],
+    moments: MomentSequence,
+    bs: Sequence[int],
+    ss: Sequence[int],
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """(den, {(b, s): W(b, s)}): the blocks of bs x ss weighed in integers.
+
+    W(b, s) is den times the sum of count * weight over _census_block(lengths,
+    b, s).  Each distinct monomial of these blocks is weighed once, and den
+    is the least common denominator of the weights.
+    """
+    order = 2 * sum(lengths)
+    if moments.order < order:
+        raise ValueError(f"moment sequence must cover order {order}")
+    blocks = {(b, s): _census_block(lengths, b, s) for b in bs for s in ss}
+    weights = {
+        monomial: weight_of_exponents(monomial, moments)
+        for monomial in set().union(*blocks.values())
+    }
+    den = lcm(*(w.denominator for w in weights.values()))
+    scaled = {m: w.numerator * (den // w.denominator) for m, w in weights.items()}
+    sums = {
+        key: sum([count * scaled[m] for m, count in block.items()])
+        for key, block in blocks.items()
+    }
+    return den, sums
+
+
+def _row_sum(sums: dict[tuple[int, int], int], total: int, r: int, b: int) -> int:
+    """The inner sum of (r, b) times den: sum over s of its pairs' W(b, s)."""
+    return sum(
+        _pair_multiplicity(r, b, s) * sums[b, s]
+        for s in range(max(r - b, 1), min(r, total) + 1)
+    )
 
 
 def _inner_sum(
     lengths: tuple[int, ...], r: int, b: int, moments: MomentSequence
 ) -> Fraction:
     """The moment polynomial of (lengths, r, b) evaluated at the given moments."""
-    order = 2 * sum(lengths)
-    if moments.order < order:
-        raise ValueError(f"moment sequence must cover order {order}")
-    total = Fraction(0)
-    for monomial, count in signature_census(lengths, r, b).items():
-        total += count * weight_of_exponents(monomial, moments)
-    return total
+    total = sum(lengths)
+    _validate_pair_params(total, r, b)
+    den, sums = _block_sums(lengths, moments, (b,), range(1, total + 1))
+    return Fraction(_row_sum(sums, total, r, b), den)
 
 
 def inner_weight_sum(l: int, r: int, b: int, moments: MomentSequence) -> Fraction:
@@ -321,42 +393,36 @@ class ExactMomentResult:
     terms: tuple[MomentTerm, ...]
 
 
-def _exact_sum(
-    total: int, p: int, n: int, inner: Callable[[int, int], Fraction]
-) -> ExactMomentResult:
-    """Sum of C(rows,b) C(cols-b,r-b) inner(r, b) / n^total over (r, b).
-
-    The route decomposition needs the smaller dimension on the row side; for
-    p > n the value is reduced through tr(S_{p,n}^l) = (p/n)^l tr(S_{n,p}^l),
-    which folds into the same sum with the roles of p and n swapped in the
-    binomials (the 1/n^total scale absorbs the ratio exactly).  The reported
-    b then counts distinct indexes of the smaller dimension.
-    """
-    rows, cols = min(p, n), max(p, n)
-    scale = Fraction(1, n**total)
-    terms: list[MomentTerm] = []
-    value = Fraction(0)
-    for r in range(1, min(2 * total, cols) + 1):
-        for b in range(1, min(total, r, rows) + 1):
-            if r - b > total:  # k has only `total` slots to cover the new labels
-                continue
-            inner_sum = inner(r, b)
-            if inner_sum == 0:
-                continue
-            multiplicity = Fraction(comb(rows, b) * comb(cols - b, r - b))
-            terms.append(MomentTerm(r, b, multiplicity, inner_sum))
-            value += multiplicity * inner_sum * scale
-    return ExactMomentResult(value, tuple(terms))
-
-
 def exact_trace_moment(
     l: int, p: int, n: int, moments: MomentSequence, *, allow_large: bool = False
 ) -> ExactMomentResult:
-    """Exact E[tr(S^l)] for a p x n data matrix with the given entry moments."""
+    """Exact E[tr(S^l)] for a p x n data matrix with the given entry moments.
+
+    The sum of C(rows, b) C(cols-b, r-b) inner(r, b) / n^l over the terms
+    (r, b), b counting distinct indexes of the smaller dimension: for p > n,
+    tr(S_{p,n}^l) = (p/n)^l tr(S_{n,p}^l), and the 1/n^l scale absorbs the
+    ratio exactly.
+    """
     if l < 1 or p < 1 or n < 1:
         raise ValueError(f"l, p, n must be positive, got {(l, p, n)}")
     _check_guard(l, MEAN_POWER_LIMIT, allow_large, "l")
-    return _exact_sum(l, p, n, lambda r, b: inner_weight_sum(l, r, b, moments))
+    rows, cols = min(p, n), max(p, n)
+    den, sums = _block_sums(
+        (l,), moments, range(1, min(l, rows) + 1), range(1, min(l, cols) + 1)
+    )
+    terms: list[MomentTerm] = []
+    total = 0
+    for r in range(1, min(2 * l, cols) + 1):
+        # k has only l slots to cover the r - b new labels
+        for b in range(max(r - l, 1), min(l, r, rows) + 1):
+            inner = _row_sum(sums, l, r, b)
+            if inner:
+                multiplicity = comb(rows, b) * comb(cols - b, r - b)
+                terms.append(
+                    MomentTerm(r, b, Fraction(multiplicity), Fraction(inner, den))
+                )
+                total += multiplicity * inner
+    return ExactMomentResult(Fraction(total, den * n**l), tuple(terms))
 
 
 def exact_trace_covariance(
@@ -368,13 +434,21 @@ def exact_trace_covariance(
     *,
     allow_large: bool = False,
 ) -> Fraction:
-    """Exact Cov[tr(S^l1), tr(S^l2)] from the double-walk monomial census."""
+    """Exact Cov[tr(S^l1), tr(S^l2)] from the double-walk monomial census.
+
+    A pair (pi, sigma) with |pi| = b and |sigma| = s stands for (p)_b (n)_s
+    labelled double walks, so n^(l1+l2) times the value is the sum of
+    (p)_b (n)_s W(b, s) over the blocks, for p > n as for p <= n.
+    """
     if min(l1, l2, p, n) < 1:
         raise ValueError(f"l1, l2, p, n must be positive, got {(l1, l2, p, n)}")
-    _check_guard(l1 + l2, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
-    return _exact_sum(
-        l1 + l2, p, n, lambda r, b: _inner_sum((l1, l2), r, b, moments)
-    ).value
+    total = l1 + l2
+    _check_guard(total, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
+    den, sums = _block_sums(
+        (l1, l2), moments, range(1, min(total, p) + 1), range(1, min(total, n) + 1)
+    )
+    value = sum(perm(p, b) * perm(n, s) * w for (b, s), w in sums.items())
+    return Fraction(value, den * n**total)
 
 
 # ---------------------------------------------------------------------------
@@ -610,4 +684,5 @@ def clear_caches() -> None:
     """Drop memoized enumerations (mostly useful in long-lived sessions)."""
     _census_block.cache_clear()
     _label_strings.cache_clear()
+    _set_partitions.cache_clear()
     _row_orbits.cache_clear()

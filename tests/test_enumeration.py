@@ -39,6 +39,7 @@ from tracemoments.closedform import (
 )
 from tracemoments.enumeration import (
     CostGuardError,
+    MomentTerm,
     _census_block,
     _label_strings,
     _row_orbits,
@@ -286,6 +287,94 @@ def test_covariance_census_matches_per_quadruple_reference(l1, l2):
             assert exact_trace_covariance(l1, l2, p, n, moments) == (
                 reference_trace_covariance(l1, l2, p, n, moments)
             ), (l1, l2, p, n, moments)
+
+
+# x = 2 w.p. 1/5, -1/2 w.p. 4/5 again, to the order that l1 + l2 = 5 needs
+SKEWED_10 = MomentSequence(
+    [Fraction(2**k, 5) + Fraction(4, 5) * Fraction(-1, 2) ** k for k in range(11)]
+)
+REFERENCE_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 7), (4, 8), (8, 4), (50, 100)]
+
+
+def _reference_terms(lengths, p, n, moments):
+    """The oracle's terms and value with every inner sum from reference_inner_sum."""
+    total = sum(lengths)
+    rows, cols = min(p, n), max(p, n)
+    terms = []
+    for r in range(1, min(2 * total, cols) + 1):
+        for b in range(1, min(total, r, rows) + 1):
+            if r - b <= total:
+                inner = reference_inner_sum(lengths, r, b, moments)
+                if inner:
+                    multiplicity = comb(rows, b) * comb(cols - b, r - b)
+                    terms.append(MomentTerm(r, b, Fraction(multiplicity), inner))
+    value = sum(t.multiplicity * t.inner_sum for t in terms) / Fraction(n**total)
+    return tuple(terms), value
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
+def test_integer_reduce_matches_the_oracle_free_references(total):
+    # every term and value of the means and covariances against references
+    # that weigh each labelled route pair's signature, or each double graph,
+    # on its own.  At l = 5 the references visit every labelled pair: that
+    # takes 20-70 s per walk split once b reaches 5, so l = 5 is compared at
+    # the shapes whose smaller side, at most 2, bounds b
+    order, skewed, shapes = 8, SKEWED_8, REFERENCE_SHAPES
+    if total == 5:
+        order, skewed = 10, SKEWED_10
+        shapes = [(p, n) for p, n in REFERENCE_SHAPES if min(p, n) <= 2]
+    laws = [preset_moments(name, order) for name in ("gaussian", "rademacher", "uniform")]
+    for moments, (p, n) in product([*laws, skewed], shapes):
+        result = exact_trace_moment(total, p, n, moments, allow_large=True)
+        terms, value = _reference_terms((total,), p, n, moments)
+        assert result.terms == terms, (total, p, n, moments)
+        assert result.value == value, (total, p, n, moments)
+        for l1 in range(1, total):
+            lengths = (l1, total - l1)
+            got = exact_trace_covariance(*lengths, p, n, moments, allow_large=True)
+            if total < 5:
+                expected = reference_trace_covariance(*lengths, p, n, moments)
+            else:
+                expected = _reference_terms(lengths, p, n, moments)[1]
+            assert got == expected, (lengths, p, n, moments)
+
+
+def test_each_monomial_is_weighed_once_per_call(monkeypatch):
+    weighed = Counter()
+
+    def counted(monomial, moments):
+        weighed[monomial] += 1
+        return weight_of_exponents(monomial, moments)
+
+    monkeypatch.setattr(enumeration, "weight_of_exponents", counted)
+    lengths_list = [(l,) for l in range(1, 5)] + [
+        (l1, l2) for l1 in range(1, 4) for l2 in range(1, 5 - l1)
+    ]
+    # at these shapes both sides reach sum(lengths), so a call reads every
+    # block of its lengths; the second round finds the blocks memoized
+    for _, (p, n), lengths in product(range(2), [(4, 8), (8, 4), (50, 100)], lengths_list):
+        total = sum(lengths)
+        monomials = set().union(
+            *(_census_block(lengths, b, s) for b, s in product(range(1, total + 1), repeat=2))
+        )
+        weighed.clear()
+        if len(lengths) == 1:
+            exact_trace_moment(total, p, n, SKEWED_8)
+        else:
+            exact_trace_covariance(*lengths, p, n, SKEWED_8)
+        assert weighed == dict.fromkeys(monomials, 1), (lengths, p, n)
+
+
+def test_a_short_moment_sequence_is_refused():
+    short = preset_moments("gaussian", 5)
+    with pytest.raises(ValueError, match="moment sequence must cover order 6"):
+        exact_trace_moment(3, 4, 8, short)
+    with pytest.raises(ValueError, match="moment sequence must cover order 6"):
+        exact_trace_covariance(1, 2, 8, 4, short)
+    with pytest.raises(ValueError, match="moment sequence must cover order 6"):
+        inner_weight_sum(3, 3, 1, short)
+    with pytest.raises(ValueError, match="moment sequence must cover order 8"):
+        covariance_inner_sum(2, 2, 1, preset_moments("gaussian", 6))
 
 
 def _brute_force_mean(l: int, p: int, n: int, moments) -> Fraction:
