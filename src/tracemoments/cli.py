@@ -77,122 +77,73 @@ def _json(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, args) -> None:
-    if not args.no_timestamp:
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(payload, default=_json))
-
-
-def _cmd_mean_closed(args) -> int:
-    value, terms = closedform.theorem1_mean(args.l, args.p, args.n)
+def _with_alpha(payload: dict, args) -> dict:
+    """A closed-form payload, evaluated at the fourth moment when one is given."""
     alpha = _resolve_alpha(args)
-    payload = {
-        "op": "mean-closed",
-        "l": args.l,
-        "p": args.p,
-        "n": args.n,
-        "coeff": value,
-        "terms": terms,
-    }
     if alpha is not None:
         payload["alpha"] = alpha
-        payload["value"] = value.evaluate(alpha)
-    _emit(payload, args)
-    return 0
+        payload["value"] = payload["coeff"].evaluate(alpha)
+    return payload
 
 
-def _cmd_mean_oracle(args) -> int:
+def _cmd_mean_closed(args) -> dict:
+    coeff, terms = closedform.theorem1_mean(args.l, args.p, args.n)
+    return _with_alpha(
+        {"l": args.l, "p": args.p, "n": args.n, "coeff": coeff, "terms": terms}, args
+    )
+
+
+def _cmd_mean_oracle(args) -> dict:
     moments = _resolve_moments(args, 2 * args.l)
     result = enumeration.exact_trace_moment(
         args.l, args.p, args.n, moments, allow_large=args.allow_large
     )
-    payload = {
-        "op": "mean-oracle",
-        "l": args.l,
-        "p": args.p,
-        "n": args.n,
-        "value": result.value,
-        "terms": result.terms,
-    }
-    _emit(payload, args)
-    return 0
+    return {"l": args.l, "p": args.p, "n": args.n, "value": result.value,
+            "terms": result.terms}
 
 
-def _cmd_cov_closed(args) -> int:
-    value, terms = closedform.theorem2_cov(args.l1, args.l2, args.p, args.n)
-    alpha = _resolve_alpha(args)
-    payload = {
-        "op": "cov-closed",
-        "l1": args.l1,
-        "l2": args.l2,
-        "p": args.p,
-        "n": args.n,
-        "coeff": value,
-        "terms": terms,
-    }
-    if alpha is not None:
-        payload["alpha"] = alpha
-        payload["value"] = value.evaluate(alpha)
-    _emit(payload, args)
-    return 0
+def _cmd_cov_closed(args) -> dict:
+    coeff, terms = closedform.theorem2_cov(args.l1, args.l2, args.p, args.n)
+    return _with_alpha({"l1": args.l1, "l2": args.l2, "p": args.p, "n": args.n,
+                        "coeff": coeff, "terms": terms}, args)
 
 
-def _cmd_cov_oracle(args) -> int:
+def _cmd_cov_oracle(args) -> dict:
     moments = _resolve_moments(args, 2 * (args.l1 + args.l2))
     value = enumeration.exact_trace_covariance(
         args.l1, args.l2, args.p, args.n, moments, allow_large=args.allow_large
     )
-    payload = {
-        "op": "cov-oracle",
-        "l1": args.l1,
-        "l2": args.l2,
-        "p": args.p,
-        "n": args.n,
-        "value": value,
-    }
-    _emit(payload, args)
-    return 0
+    return {"l1": args.l1, "l2": args.l2, "p": args.p, "n": args.n, "value": value}
 
 
-def _cmd_census(args) -> int:
-    if args.l is not None:
+def _cmd_census(args) -> dict:
+    double = args.l is None
+    if not double:
         if args.l1 is not None or args.l2 is not None:
             raise ValueError("--l and --l1/--l2 are mutually exclusive")
+        payload = {"l": args.l, "b": args.b}
         buckets = enumeration.census_by_seed(args.l, args.b, allow_large=args.allow_large)
-        rows = [
-            {"seed_class": cls.kind, "ring_length": cls.ring_length, "count": count}
-            for cls, count in buckets.items()
-        ]
-        rows.sort(key=lambda r: (r["seed_class"], r["ring_length"] or 0))
-        payload = {"op": "census", "l": args.l, "b": args.b, "buckets": rows}
     elif args.l1 is not None and args.l2 is not None:
+        payload = {"l1": args.l1, "l2": args.l2, "b": args.b}
         buckets = enumeration.census_double(
             args.l1, args.l2, args.b, allow_large=args.allow_large
         )
-        rows = [
-            {
-                "seed_class": cls.kind,
-                "ring_length": cls.ring_length,
-                "split": list(split),
-                "count": count,
-            }
-            for (cls, split), count in buckets.items()
-        ]
-        rows.sort(key=lambda r: (r["seed_class"], r["ring_length"] or 0, r["split"]))
-        payload = {
-            "op": "census",
-            "l1": args.l1,
-            "l2": args.l2,
-            "b": args.b,
-            "buckets": rows,
-        }
     else:
         raise ValueError("provide --l for a single census or both --l1 and --l2")
-    _emit(payload, args)
-    return 0
+    rows = []
+    for key, count in buckets.items():
+        cls = key[0] if double else key  # a double key is (seed class, split)
+        row = {"seed_class": cls.kind, "ring_length": cls.ring_length}
+        if double:
+            row["split"] = list(key[1])
+        row["count"] = count
+        rows.append(row)
+    rows.sort(key=lambda r: (r["seed_class"], r["ring_length"] or 0, r.get("split", ())))
+    payload["buckets"] = rows
+    return payload
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict | None:
     from . import montecarlo  # numpy loads here, never for an exact subcommand
 
     try:
@@ -211,50 +162,36 @@ def _cmd_simulate(args) -> int:
     if not args.no_reference:
         reference = montecarlo.oracle_references(config, allow_large=args.allow_large)
     report = montecarlo.simulate(config, reference)
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerows(report.csv_rows())
-        sys.stdout.write(buffer.getvalue())
-    else:
-        _emit({"op": "simulate", **report.to_dict()}, args)
-    return 0
+    if args.format == "json":
+        return report.to_dict()
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(report.csv_rows())
+    sys.stdout.write(buffer.getvalue())
+    return None
 
 
-def _cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite, args.max_l, allow_large=args.allow_large)
-    _emit({"op": "verify", **report}, args)
-    return 2 if report["failures"] else 0
+def _cmd_verify(args) -> dict:
+    return verify.run_suite(args.suite, args.max_l, allow_large=args.allow_large)
 
 
-def _cmd_mp(args) -> int:
+def _cmd_mp(args) -> dict:
     y = _rational(args.y, "ratio")
-    value = closedform.mp_moment(args.l, y)
-    _emit({"op": "mp", "l": args.l, "y": y, "value": value}, args)
-    return 0
+    return {"l": args.l, "y": y, "value": closedform.mp_moment(args.l, y)}
 
 
-def _cmd_bs_check(args) -> int:
-    mean_report = verify.run_suite("bs-mean", args.max_l)
-    cov_report = verify.run_suite("bs-cov", args.max_l)
-    payload = {
-        "op": "bs-check",
-        "mean": {"cases": mean_report["cases"], "failures": mean_report["failures"]},
-        "cov": {"cases": cov_report["cases"], "failures": cov_report["failures"]},
-    }
-    _emit(payload, args)
-    return 2 if mean_report["failures"] or cov_report["failures"] else 0
+def _cmd_bs_check(args) -> dict:
+    parts = {}
+    for part in ("mean", "cov"):
+        report = verify.run_suite(f"bs-{part}", args.max_l)
+        parts[part] = {"cases": report["cases"], "failures": report["failures"]}
+    return parts
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> dict:
     route = parse_route(args.route)
     if args.second is not None:
-        double = DoubleCircuitMultigraph(route, parse_route(args.second))
-        payload = {"op": "graph", **double.record()}
-    else:
-        payload = {"op": "graph", **CircuitMultigraph(route).record()}
-    _emit(payload, args)
-    return 0
+        return DoubleCircuitMultigraph(route, parse_route(args.second)).record()
+    return CircuitMultigraph(route).record()
 
 
 _INT = {"type": int, "required": True}
@@ -313,7 +250,7 @@ _COMMANDS = {
 
 def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
     handler, _, arguments = _COMMANDS[name]
-    parser.set_defaults(handler=handler)
+    parser.set_defaults(handler=handler, op=name)
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
     for flag, keywords in arguments:
@@ -358,12 +295,25 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command.  Its handler returns the payload, which is written
+    here as one JSON line led by the command name as `op`; exit 2 when the
+    payload, or a part of it, lists failures."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line, no source location
-            status = args.handler(args)
+            payload = args.handler(args)
+        status = 0
+        if payload is not None:  # None: the handler wrote its own output
+            payload = {"op": args.op, **payload}
+            if not args.no_timestamp:
+                payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+            print(json.dumps(payload, default=_json))
+            # a failed check, in the report or in one of its parts
+            parts = (payload, *payload.values())
+            if any(isinstance(part, dict) and part.get("failures") for part in parts):
+                status = 2
         sys.stdout.flush()  # a closed reader shows here, not at shutdown
         return status
     except BrokenPipeError:

@@ -71,8 +71,8 @@ from .weights import (
     weight_of_exponents,
 )
 
-MEAN_POWER_LIMIT = 4
-COVARIANCE_POWER_LIMIT = 4
+# the total walk length, l or l1+l2, of the oracle and of census_double
+WALK_LENGTH_LIMIT = 4
 CENSUS_VERTEX_LIMIT = 5
 
 
@@ -405,7 +405,7 @@ def exact_trace_moment(
     """
     if l < 1 or p < 1 or n < 1:
         raise ValueError(f"l, p, n must be positive, got {(l, p, n)}")
-    _check_guard(l, MEAN_POWER_LIMIT, allow_large, "l")
+    _check_guard(l, WALK_LENGTH_LIMIT, allow_large, "l")
     rows, cols = min(p, n), max(p, n)
     den, sums = _block_sums(
         (l,), moments, range(1, min(l, rows) + 1), range(1, min(l, cols) + 1)
@@ -443,7 +443,7 @@ def exact_trace_covariance(
     if min(l1, l2, p, n) < 1:
         raise ValueError(f"l1, l2, p, n must be positive, got {(l1, l2, p, n)}")
     total = l1 + l2
-    _check_guard(total, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
+    _check_guard(total, WALK_LENGTH_LIMIT, allow_large, "l1+l2")
     den, sums = _block_sums(
         (l1, l2), moments, range(1, min(total, p) + 1), range(1, min(total, n) + 1)
     )
@@ -584,7 +584,7 @@ def census_double(
         raise ValueError(f"l1 and l2 must be positive, got {(l1, l2)}")
     if not 1 <= b <= l1 + l2:
         raise ValueError(f"need 1 <= b <= l1+l2, got b={b}")
-    _check_guard(l1 + l2, COVARIANCE_POWER_LIMIT, allow_large, "l1+l2")
+    _check_guard(l1 + l2, WALK_LENGTH_LIMIT, allow_large, "l1+l2")
     r = l1 + l2
     firsts: dict[Route, int] = {}
     seconds: dict[Route, int] = {}

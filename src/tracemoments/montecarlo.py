@@ -115,20 +115,13 @@ class SimulationReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def csv_rows(self) -> list[list[str]]:
+    def csv_rows(self) -> list[list]:
+        """Rows of raw values: `csv` writes None as an empty field."""
         rows = [["kind", "l1", "l2", "empirical", "exact", "se", "z"]]
         for s in self.means:
-            rows.append(
-                ["mean", str(s.l), "", repr(s.empirical),
-                 "" if s.exact is None else repr(s.exact),
-                 repr(s.se), "" if s.z is None else repr(s.z)]
-            )
+            rows.append(["mean", s.l, None, s.empirical, s.exact, s.se, s.z])
         for s in self.covariances:
-            rows.append(
-                ["cov", str(s.l1), str(s.l2), repr(s.empirical),
-                 "" if s.exact is None else repr(s.exact),
-                 repr(s.se), "" if s.z is None else repr(s.z)]
-            )
+            rows.append(["cov", s.l1, s.l2, s.empirical, s.exact, s.se, s.z])
         return rows
 
 

@@ -1,16 +1,17 @@
 """Shared enumeration utilities for the tests: route spaces that filter
 every label string of a length (built here, never by the oracle's
 label-string generator), the labelled route pairs and their rotation
-orbits, Prufer trees, a route-pair reference for the signature census and
-its moment polynomial, inner sums weighed one reference signature at a time
-with no oracle call, and their affine reading at two
-formal moment sequences, a per-quadruple reference for the covariance
-oracle, rescanning trims with label-level seed-class censuses that visit
-every route pair, the orbit-loop double census that trims one route
-quadruple at a time, per-b references for the closed-form covariance
-coefficients, the Bartlett Wishart sampler, the whole-batch Monte Carlo
-trace loop, the edge-by-edge sprouting walk search, and the weights of
-graphs on at least N/2 vertices read off their seed classes."""
+orbits, Prufer trees, a route-pair reference for the signature census,
+which visits one row per relabelling of the black labels, and its moment
+polynomial, inner sums weighed one reference signature at a time with no
+oracle call, and their affine reading at two formal moment sequences, a
+per-quadruple reference for the covariance oracle, rescanning trims with
+label-level seed-class censuses that visit every route pair, the
+orbit-loop double census that trims one route quadruple at a time, per-b
+references for the closed-form covariance coefficients, the Bartlett
+Wishart sampler, the whole-batch Monte Carlo trace loop, the edge-by-edge
+sprouting walk search, and the weights of graphs on at least N/2 vertices
+read off their seed classes."""
 
 from __future__ import annotations
 
@@ -193,27 +194,41 @@ def split_route_pairs(l1: int, l2: int, r: int, b: int):
         yield ij[:l1], km[:l1], ij[l1:], km[l1:]
 
 
+def route_pair_signature(lengths: tuple[int, ...], i: Route, k: Route):
+    """The exponent signature of the walk (i, k), cut into walks of the given
+    lengths: a walk's signature is its sorted reversed-adjacency exponents, a
+    double walk's is (joint, first, second), the sorted exponents of the pair
+    and of each walk."""
+    if len(lengths) == 1:
+        return tuple(sorted(reversed_edge_counts(zip_routes(i, k)).values()))
+    l1 = lengths[0]
+    first = reversed_edge_counts(zip_routes(i[:l1], k[:l1]))
+    second = reversed_edge_counts(zip_routes(i[l1:], k[l1:]))
+    joint = Counter(first) + Counter(second)
+    return (
+        tuple(sorted(joint.values())),
+        tuple(sorted(first.values())),
+        tuple(sorted(second.values())),
+    )
+
+
 @lru_cache(maxsize=None)
 def reference_signature_census(lengths: tuple[int, ...], r: int, b: int) -> Counter:
-    """Canonical route pairs by exponent signature, visiting every labelled
-    route pair one at a time: a walk's signature is its sorted reversed-adjacency
-    exponents, a double walk's is (joint, first, second), the sorted exponents
-    of the pair and of each walk.  Memoized: do not change the result."""
+    """Canonical route pairs by exponent signature (route_pair_signature).
+
+    Relabelling the black labels of i maps the pairs (i, k) of
+    iter_route_pairs one to one onto pairs with the same graph, up to the
+    names of its black vertices, and so the same signature; each pair has b!
+    distinct relabellings.  So one i per relabelling class, the restricted
+    growth strings of canonical_patterns, is visited against every k and
+    counted b! times.  Memoized: do not change the result."""
+    total = sum(lengths)
+    _validate_pair_params(total, r, b)
+    ks = covering_routes(total, r, b)
     census: Counter = Counter()
-    if len(lengths) == 1:
-        for i, k in iter_route_pairs(lengths[0], r, b):
-            counts = reversed_edge_counts(zip_routes(i, k))
-            census[tuple(sorted(counts.values()))] += 1
-        return census
-    for i, k, j, m in split_route_pairs(*lengths, r, b):
-        first = reversed_edge_counts(zip_routes(i, k))
-        second = reversed_edge_counts(zip_routes(j, m))
-        joint = Counter(first) + Counter(second)
-        census[(
-            tuple(sorted(joint.values())),
-            tuple(sorted(first.values())),
-            tuple(sorted(second.values())),
-        )] += 1
+    for i in canonical_patterns(total, b):
+        for k in ks:
+            census[route_pair_signature(lengths, i, k)] += factorial(b)
     return census
 
 

@@ -512,13 +512,49 @@ def test_warnings_print_one_line_each(capsys):
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
+    failing = "taylor"
+
     def fake_run_suite(name, max_l=None, allow_large=False):
-        return {"suite": name, "cases": 1, "failures": ["synthetic"]}
+        failures = ["synthetic"] if name == failing else []
+        return {"suite": name, "cases": 1, "failures": failures}
 
     monkeypatch.setattr(cli.verify, "run_suite", fake_run_suite)
     status, out, _ = run_cli(capsys, "verify", "--suite", "taylor", "--no-timestamp")
     assert status == 2
     assert json.loads(out)["failures"] == ["synthetic"]
+    # bs-check fails when either of its two parts does, and says which
+    for failing in ("bs-mean", "bs-cov"):
+        status, out, _ = run_cli(capsys, "bs-check", "--no-timestamp")
+        assert status == 2, failing
+        assert json.loads(out) == {"op": "bs-check", **{
+            part: {"cases": 1, "failures": ["synthetic"] if f"bs-{part}" == failing else []}
+            for part in ("mean", "cov")
+        }}
+
+
+# one cheap call of every command
+COMMAND_CASES = {
+    "mean-closed": ("--l", "2", "--p", "2", "--n", "3"),
+    "mean-oracle": ("--l", "2", "--p", "2", "--n", "3", "--dist", "gaussian"),
+    "cov-closed": ("--l1", "1", "--l2", "1", "--p", "2", "--n", "3"),
+    "cov-oracle": ("--l1", "1", "--l2", "1", "--p", "2", "--n", "3", "--dist", "gaussian"),
+    "census": ("--l", "2", "--b", "1"),
+    "simulate": ("--p", "2", "--n", "3", "--l", "1", "--reps", "100", "--dist", "gaussian",
+                 "--seed", "1", "--no-reference"),
+    "verify": ("--suite", "taylor", "--max-l", "3"),
+    "mp": ("--l", "2", "--y", "1/2"),
+    "bs-check": ("--max-l", "3"),
+    "graph": ("--route", "1,2,1,3"),
+}
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_each_command_leads_its_json_with_its_name(capsys, name):
+    status, out, _ = run_cli(capsys, name, *COMMAND_CASES[name])
+    assert status == 0
+    payload = json.loads(out)
+    assert list(payload)[0] == "op" and payload["op"] == name
+    assert list(payload)[-1] == "timestamp"
 
 
 @pytest.mark.parametrize(

@@ -21,8 +21,10 @@ from helpers import (
     reference_inner_sum,
     reference_moment_polynomial,
     reference_orbit_census_double,
+    reference_signature_census,
     reference_trace_covariance,
     rotation_orbits,
+    route_pair_signature,
     split_route_pairs,
     surjective_routes,
     white_ordered_routes,
@@ -315,16 +317,13 @@ def _reference_terms(lengths, p, n, moments):
 @pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
 def test_integer_reduce_matches_the_oracle_free_references(total):
     # every term and value of the means and covariances against references
-    # that weigh each labelled route pair's signature, or each double graph,
-    # on its own.  At l = 5 the references visit every labelled pair: that
-    # takes 20-70 s per walk split once b reaches 5, so l = 5 is compared at
-    # the shapes whose smaller side, at most 2, bounds b
-    order, skewed, shapes = 8, SKEWED_8, REFERENCE_SHAPES
-    if total == 5:
-        order, skewed = 10, SKEWED_10
-        shapes = [(p, n) for p, n in REFERENCE_SHAPES if min(p, n) <= 2]
+    # that weigh each route pair's signature, one row per relabelling of its
+    # black labels, or each double graph, on its own.  The per-quadruple
+    # covariance reference repeats its walk for every law, so l1 + l2 = 5 is
+    # compared through the signature census
+    order, skewed = (10, SKEWED_10) if total == 5 else (8, SKEWED_8)
     laws = [preset_moments(name, order) for name in ("gaussian", "rademacher", "uniform")]
-    for moments, (p, n) in product([*laws, skewed], shapes):
+    for moments, (p, n) in product([*laws, skewed], REFERENCE_SHAPES):
         result = exact_trace_moment(total, p, n, moments, allow_large=True)
         terms, value = _reference_terms((total,), p, n, moments)
         assert result.terms == terms, (total, p, n, moments)
@@ -543,6 +542,15 @@ def test_signature_census_matches_route_pair_reference(keys):
     # labelled route pair's signature
     for key in keys:
         assert signature_census(*key) == reference_moment_polynomial(*key), key
+
+
+def test_reference_census_visits_one_row_per_black_relabelling():
+    # the reference counts one i per relabelling of its black labels b! times;
+    # against the visit of every labelled route pair
+    for lengths, r, b in (key for total in range(1, 5) for key in _census_keys(total)):
+        pairs = iter_route_pairs(sum(lengths), r, b)
+        full = Counter(route_pair_signature(lengths, i, k) for i, k in pairs)
+        assert reference_signature_census(lengths, r, b) == full, (lengths, r, b)
 
 
 def test_label_strings_are_the_white_ordered_routes():
