@@ -163,7 +163,7 @@ def _cmd_simulate(args) -> dict | None:
         reference = montecarlo.oracle_references(config, allow_large=args.allow_large)
     report = montecarlo.simulate(config, reference)
     if args.format == "json":
-        return report.to_dict()
+        return vars(report)
     buffer = io.StringIO()
     csv.writer(buffer).writerows(report.csv_rows())
     sys.stdout.write(buffer.getvalue())

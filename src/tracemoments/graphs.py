@@ -8,7 +8,7 @@ routes: colorings, seeds and classifications are computed when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Collection, Sequence
 
 Route = tuple[int, ...]
@@ -48,11 +48,6 @@ class SeedClass:
                 raise ValueError(f"{self.kind} needs ring length >= 3")
         elif self.ring_length is not None:
             raise ValueError(f"{self.kind} carries no ring length")
-
-    def __str__(self) -> str:
-        if self.ring_length is None:
-            return self.kind
-        return f"{self.kind}({self.ring_length})"
 
 
 BALANCED_PAIR_SEED = SeedClass(KIND_BALANCED_PAIR)
@@ -264,6 +259,7 @@ def classify_leaf_free_route(route: Sequence[int]) -> SeedClass:
 # circuit multigraphs
 
 
+@dataclass(frozen=True)
 class CircuitMultigraph:
     """The linearly edge-ordered directed multigraph traced by a closed walk.
 
@@ -271,8 +267,10 @@ class CircuitMultigraph:
     r = max(route); this makes the graph exhaustive and connected.
     """
 
-    def __init__(self, route: Sequence[int]):
-        route = tuple(route)
+    route: Route
+
+    def __post_init__(self) -> None:
+        route = tuple(self.route)
         if not route:
             raise ValueError("route must be non-empty")
         if any(not isinstance(v, int) or v < 1 for v in route):
@@ -281,20 +279,7 @@ class CircuitMultigraph:
         missing = set(range(1, r + 1)) - set(route)
         if missing:
             raise ValueError(f"route {route} misses labels {sorted(missing)} below {r}")
-        self.route: Route = route
-        self.vertex_count: int = r
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CircuitMultigraph) and self.route == other.route
-
-    def __hash__(self) -> int:
-        return hash(self.route)
-
-    def __repr__(self) -> str:
-        return f"CircuitMultigraph({format_route(self.route)!r})"
-
-    def __len__(self) -> int:
-        return len(self.route)
+        object.__setattr__(self, "route", route)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -310,7 +295,7 @@ class CircuitMultigraph:
         This is the paper's reversed adjacency matrix, kept as the readable
         form of what `reversed_edge_counts` computes for the weights.
         """
-        r = self.vertex_count
+        r = max(self.route)
         matrix = [[0] * r for _ in range(r)]
         for (a, b), c in reversed_edge_counts(self.route).items():
             matrix[a - 1][b - 1] += c
@@ -331,21 +316,16 @@ class CircuitMultigraph:
 
     def record(self) -> dict:
         """JSON-ready structured record of the graph."""
-        seed_class = self.seed_class()
         return {
             "route": format_route(self.route),
             "edges": [list(e) for e in self.edges],
             "black_set": sorted(self.black_set),
             "seed_route": format_route(self.seed().route),
-            "seed_class": {
-                "kind": seed_class.kind,
-                "ring_length": seed_class.ring_length,
-            },
+            "seed_class": asdict(self.seed_class()),
         }
 
 
-def build_graph(route: Sequence[int]) -> CircuitMultigraph:
-    return CircuitMultigraph(route)
+build_graph = CircuitMultigraph
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +377,15 @@ def trim_double(first: Sequence[int], second: Sequence[int]) -> tuple[Route, Rou
     return trim_holding(first, shared), trim_holding(second, shared)
 
 
+@dataclass(frozen=True)
 class DoubleCircuitMultigraph:
     """An ordered pair of closed walks jointly covering the vertex set [r]."""
 
-    def __init__(self, first: Sequence[int], second: Sequence[int]):
-        first, second = tuple(first), tuple(second)
+    first: Route
+    second: Route
+
+    def __post_init__(self) -> None:
+        first, second = tuple(self.first), tuple(self.second)
         if not first or not second:
             raise ValueError("both routes must be non-empty")
         labels = set(first) | set(second)
@@ -411,22 +395,8 @@ class DoubleCircuitMultigraph:
         missing = set(range(1, r + 1)) - labels
         if missing:
             raise ValueError(f"routes jointly miss labels {sorted(missing)} below {r}")
-        self.first: Route = first
-        self.second: Route = second
-        self.vertex_count: int = r
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DoubleCircuitMultigraph)
-            and self.first == other.first
-            and self.second == other.second
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.second))
-
-    def __repr__(self) -> str:
-        return f"DoubleCircuitMultigraph({format_route(self.first)!r}, {format_route(self.second)!r})"
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     @property
     def black_set(self) -> frozenset[int]:
@@ -450,19 +420,13 @@ class DoubleCircuitMultigraph:
         return classify_leaf_free_double(*self.seed_routes_original_labels())
 
     def record(self) -> dict:
-        seed, seed_class = self.seed(), self.seed_class()
+        seed = self.seed()
         return {
             "routes": [format_route(self.first), format_route(self.second)],
             "black_set": sorted(self.black_set),
             "seed_routes": [format_route(seed.first), format_route(seed.second)],
-            "seed_class": {
-                "kind": seed_class.kind,
-                "ring_length": seed_class.ring_length,
-            },
+            "seed_class": asdict(self.seed_class()),
         }
 
 
-def build_double_graph(
-    first: Sequence[int], second: Sequence[int]
-) -> DoubleCircuitMultigraph:
-    return DoubleCircuitMultigraph(first, second)
+build_double_graph = DoubleCircuitMultigraph

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import pairwise
@@ -111,9 +111,6 @@ class SimulationReport:
     batch_size: int
     means: tuple[MeanStat, ...]
     covariances: tuple[CovStat, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def csv_rows(self) -> list[list]:
         """Rows of raw values: `csv` writes None as an empty field."""

@@ -49,9 +49,6 @@ class AffineAlpha:
     def evaluate(self, alpha: Rational) -> Fraction:
         return self.c0 + self.c1 * Fraction(alpha)
 
-    def __str__(self) -> str:
-        return f"{self.c0} + {self.c1}*alpha"
-
 
 def _hankel_is_psd(values: tuple[Fraction, ...]) -> bool:
     """Whether H[i][j] = m_(i+j), 0 <= i, j <= K//2, is positive semidefinite.
@@ -81,11 +78,14 @@ def _hankel_is_psd(values: tuple[Fraction, ...]) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class MomentSequence:
     """Exact moments m_0..m_K of a centred, unit-variance entry distribution."""
 
-    def __init__(self, moments: Iterable[Rational]):
-        values = tuple(Fraction(m) for m in moments)
+    moments: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        values = tuple(Fraction(m) for m in self.moments)
         if len(values) < 3:
             raise ValueError("need at least m_0, m_1, m_2")
         if values[0] != 1 or values[1] != 0 or values[2] != 1:
@@ -96,15 +96,15 @@ class MomentSequence:
             warnings.warn(
                 f"fourth moment {values[4]} is below 1, impossible for a real "
                 "unit-variance distribution",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
         elif not _hankel_is_psd(values):
             warnings.warn(
                 f"moments {', '.join(map(str, values))} are impossible for a real "
                 "distribution: their Hankel matrix m_(i+j) is not positive semidefinite",
-                stacklevel=2,
+                stacklevel=3,
             )
-        self.moments = values
+        object.__setattr__(self, "moments", values)
 
     @property
     def order(self) -> int:
@@ -120,18 +120,6 @@ class MomentSequence:
         if not 0 <= k <= self.order:
             raise ValueError(f"moment of order {k} not covered (max {self.order})")
         return self.moments[k]
-
-    def __len__(self) -> int:
-        return len(self.moments)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MomentSequence) and self.moments == other.moments
-
-    def __hash__(self) -> int:
-        return hash(self.moments)
-
-    def __repr__(self) -> str:
-        return f"MomentSequence({[str(m) for m in self.moments]})"
 
     @staticmethod
     def parse(text: str) -> "MomentSequence":

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from datetime import datetime
@@ -18,7 +19,6 @@ import pytest
 import tracemoments
 from tracemoments import cli, enumeration, montecarlo
 from tracemoments.closedform import theorem1_mean
-from tracemoments.weights import preset_moments
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +201,28 @@ def test_closed_stdout_exits_one_quietly():
         assert (proc.returncode, proc.stderr) == (1, b""), module
 
 
+class _ClosedReader:
+    """A standard output whose reader is gone, over a stand-in descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_reader_in_process_exits_one_quietly(capsys, monkeypatch):
+    # the write of the JSON line fails; main points the descriptor at devnull
+    with tempfile.TemporaryFile() as stand_in:
+        monkeypatch.setattr(sys, "stdout", _ClosedReader(stand_in.fileno()))
+        status = cli.main(["mp", "--l", "2", "--y", "1/2", "--no-timestamp"])
+    assert status == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_rejects_max_l_below_one(capsys):
     for argv in [
         ("verify", "--suite", "taylor", "--max-l", "0"),
@@ -280,8 +302,8 @@ def test_outputs_parse_as_json(capsys):
 
 
 def test_json_hook_writes_fractions_and_dataclasses_only():
-    with pytest.raises(TypeError, match="MomentSequence"):
-        json.dumps(preset_moments("gaussian", 4), default=cli._json)
+    with pytest.raises(TypeError, match="frozenset"):
+        json.dumps(frozenset({1, 2}), default=cli._json)
     assert json.dumps([Fraction(3), Fraction(-2, 6)], default=cli._json) == '["3/1", "-1/3"]'
     _, terms = theorem1_mean(3, 2, 5)
     assert json.loads(json.dumps(terms, default=cli._json))[1] == {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from helpers import (
 from tracemoments.graphs import (
     BALANCED_PAIR_SEED,
     DOUBLE_OTHER_SEED,
+    KIND_TWO_D_RING,
     OTHER_SEED,
     CircuitMultigraph,
     DoubleCircuitMultigraph,
@@ -70,6 +73,32 @@ def test_build_graph_rejects_label_gap():
         build_graph((2,))
     with pytest.raises(ValueError):
         build_graph(())
+
+
+def test_graph_views_are_values_of_their_routes():
+    # equal routes give equal views with equal hashes, usable as set members
+    single, double = build_graph((1, 2, 1, 2)), build_double_graph((1, 2), (2, 1))
+    assert single == CircuitMultigraph([1, 2, 1, 2])
+    assert hash(single) == hash(CircuitMultigraph([1, 2, 1, 2]))
+    assert double == DoubleCircuitMultigraph([1, 2], [2, 1])
+    assert hash(double) == hash(DoubleCircuitMultigraph([1, 2], [2, 1]))
+    views = {single, build_graph((1, 2, 1, 2)), double, build_double_graph((1, 2), (2, 1))}
+    assert views == {single, double}
+    assert single != build_graph((1, 2, 2, 1)) and double != build_double_graph((2, 1), (1, 2))
+    # a view never equals a view of the other class or a bare tuple
+    assert build_graph((1,)) != build_double_graph((1,), (1,))
+    assert single != (1, 2, 1, 2) and double != ((1, 2), (2, 1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: build_graph((1, "2")), "route labels must be positive integers: (1, '2')"),
+    (lambda: build_double_graph((), (1,)), "both routes must be non-empty"),
+    (lambda: build_double_graph((1, 0), (1,)), "route labels must be positive integers"),
+    (lambda: build_double_graph((1, 3), (1,)), "routes jointly miss labels [2] below 3"),
+], ids=["label-type", "double-empty", "double-label", "double-gap"])
+def test_graph_refusals_name_their_fault(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_reversed_adjacency():
@@ -164,6 +193,8 @@ def test_seed_class_validation():
         SeedClass("other", 3)
     with pytest.raises(ValueError):
         SeedClass("nonsense")
+    with pytest.raises(ValueError, match="^two_d_ring needs a positive ring length$"):
+        SeedClass(KIND_TWO_D_RING, 0)
 
 
 def test_route_serialization():

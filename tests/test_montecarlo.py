@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -24,7 +25,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracemoments import montecarlo
+from tracemoments import cli, montecarlo
 from tracemoments.montecarlo import (
     BATCH_SIZE,
     CHUNK_VALUES,
@@ -686,11 +687,13 @@ def test_simulate_leaves_no_blas_thread_spinning():
 def test_report_serialization():
     cfg = _config(replications=500)
     report = simulate(cfg, oracle_references(cfg))
-    payload = report.to_dict()
+    # the JSON hook writes the report and its parts field by field
+    payload = json.loads(json.dumps(vars(report), default=cli._json))
+    assert list(payload) == ["config", "rng_algorithm", "batch_size", "means", "covariances"]
     assert payload["config"]["p"] == 2
-    # `asdict` keeps each field's container type: tuples of plain dicts
-    assert payload["config"]["l_list"] == cfg.l_list
-    assert type(payload["means"]) is tuple and type(payload["covariances"]) is tuple
+    assert payload["config"]["l_list"] == list(cfg.l_list)
+    assert len(payload["means"]) == len(report.means)
+    assert len(payload["covariances"]) == len(report.covariances)
     assert payload["means"][0] == vars(report.means[0])
     assert payload["rng_algorithm"].startswith(
         "sfc64 spawned by SeedSequence(seed, spawn_key=(batch,)); "

@@ -56,6 +56,15 @@ def test_moment_sequence_validation():
     assert m.order == 4 and m.fourth == 3
     with pytest.raises(ValueError):
         m[5]
+    with pytest.raises(ValueError, match="^sequence does not reach the fourth moment$"):
+        MomentSequence([1, 0, 1]).fourth
+
+
+def test_moment_sequence_warnings_point_at_the_caller():
+    with pytest.warns(UserWarning) as caught:
+        MomentSequence([1, 0, 1, 0, 0])  # below 1
+        MomentSequence([1, 0, 1, 2, 2])  # not positive semidefinite
+    assert [w.filename for w in caught] == [__file__, __file__]
 
 
 def test_moment_sequence_warns_on_impossible_fourth_moment():
