@@ -10,29 +10,21 @@ numpy.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import io
 import json
 import os
-import shutil
 import sys
 import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import partial
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import closedform, enumeration, verify
 from .graphs import CircuitMultigraph, DoubleCircuitMultigraph, parse_route
 from .weights import MomentSequence, preset_alpha, preset_moments
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to status 2
-        self.print_usage(sys.stderr)
-        raise ValueError(message)
 
 
 def _rational(text: str, name: str) -> Fraction:
@@ -198,6 +190,9 @@ _INT = {"type": int, "required": True}
 _FLAG = {"action": "store_true"}
 _ALLOW_LARGE = ("--allow-large", _FLAG)
 _P_N = (("--p", _INT), ("--n", _INT))
+_NO_TIMESTAMP = ("--no-timestamp", {
+    **_FLAG, "help": "omit the timestamp field for byte-identical reruns"
+})
 # name: (handler, help, arguments after --no-timestamp as (flag, keywords))
 _COMMANDS = {
     "mean-closed": (_cmd_mean_closed, "mean expansion by the closed form", (
@@ -248,46 +243,76 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
-    handler, _, arguments = _COMMANDS[name]
-    parser.set_defaults(handler=handler, op=name)
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp field for byte-identical reruns")
-    for flag, keywords in arguments:
-        parser.add_argument(flag, **keywords)
+def build_parser():
+    """The CLI parser with every subcommand, an argparse parser whose usage
+    errors raise ValueError."""
+    import argparse  # a well-formed call is read without it: see _parse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # argparse defaults to status 2
+            self.print_usage(sys.stderr)
+            raise ValueError(message)
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand."""
-    parser = _Parser(prog="tracemoments", description=__doc__)
+    parser = Parser(prog="tracemoments", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler, op=name)
+        for flag, keywords in (_NO_TIMESTAMP, *arguments):
+            command.add_argument(flag, **keywords)
     return parser
 
 
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """A flat parser for `name` alone, which parses the arguments after the
-    command name as the full parser's subparser does and prints the same help
-    and errors.  argparse would read the terminal width again for every
-    argument; this parser reads it once."""
-    width = shutil.get_terminal_size().columns - 2  # as argparse.HelpFormatter
-    parser = _Parser(prog=f"tracemoments {name}",
-                     formatter_class=partial(argparse.HelpFormatter, width=width))
-    _add_command(parser, name)
-    return parser
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """A well-formed call read straight from _COMMANDS, as the full parser
+    would read it, or None.
+
+    Well formed means a known command followed only by its own flags, each
+    spelled in full and given once, each valued flag followed by a value not
+    led by "-" that passes the flag's type and choices, and every required
+    flag given.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    flags = dict((_NO_TIMESTAMP, *arguments))
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        keywords = flags.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(rest, "-")  # a missing value declines as a "-" one does
+        if value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace()
+    for flag, keywords in flags.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        switch = keywords.get("action") == "store_true"
+        default = keywords.get("default", False if switch else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    args.handler, args.op = handler, argv[0]
+    return args
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse a known command with its own flat parser.  The full parser, whose
-    usage line lists every command, is built only for top-level help, an
-    unknown command or leftover arguments."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    return build_parser().parse_args(argv)
+def _parse(argv: list[str]):
+    """Read a well-formed call from _COMMANDS.  Anything else, help and every
+    usage error included, goes to the full parser, which prints the help or
+    the usage line and the error."""
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracemoments
 from tracemoments import cli, enumeration, montecarlo
@@ -486,13 +490,18 @@ EXACT_COMMANDS = (
     ("bs-check", "--max-l", "3"),
     ("graph", "--route", "2,4,4,3,1,3"),
 )
+# a well-formed call loads neither numpy nor argparse; a usage error then
+# loads argparse, which reports it
 NUMPY_FREE_CHECK = """
 import contextlib, io, json, sys
 from tracemoments import cli
 with contextlib.redirect_stdout(io.StringIO()):
     statuses = [cli.main([*argv, "--no-timestamp"]) for argv in json.loads(sys.argv[1])]
-loaded = [m for m in ("numpy", "tracemoments.montecarlo") if m in sys.modules]
-print(json.dumps({"statuses": statuses, "loaded": loaded}))
+loaded = [m for m in ("numpy", "tracemoments.montecarlo", "argparse", "gettext")
+          if m in sys.modules]
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    bad = cli.main(["mean-oracle", "--l", "x"])
+print(json.dumps({"statuses": statuses, "loaded": loaded, "bad": [bad, err.getvalue()]}))
 """
 
 
@@ -504,7 +513,12 @@ def test_exact_subcommands_never_load_numpy():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"statuses": [0] * len(EXACT_COMMANDS), "loaded": []}
+    result = json.loads(proc.stdout)
+    status, err = result.pop("bad")
+    assert result == {"statuses": [0] * len(EXACT_COMMANDS), "loaded": []}
+    assert status == 1
+    assert err.startswith("usage: tracemoments mean-oracle [-h] [--no-timestamp] --l L")
+    assert err.endswith("\nerror: argument --l: invalid int value: 'x'\n")
 
 
 def test_monte_carlo_names_load_on_first_use():
@@ -625,9 +639,8 @@ class _FixedClock(datetime):
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, argv):
-    # a known command is parsed by its own flat parser; the reference run
-    # sends every call through the full parser with all subcommands
+def test_parse_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    # the reference run sends every call through the full parser
     def outcome():
         try:
             status = cli.main(list(argv))
@@ -645,29 +658,110 @@ def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, argv):
         assert outcome() == expected
 
 
-def test_known_commands_never_build_the_full_parser(capsys, monkeypatch):
+def test_well_formed_calls_build_no_parser(capsys, monkeypatch):
     full = cli.build_parser
     built = []
 
     def refuse():
-        raise AssertionError("built the parser of every command")
+        raise AssertionError("built the argparse parser")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
-    for name in cli._COMMANDS:
-        with pytest.raises(SystemExit, match="^0$"):
-            cli.main([name, "--help"])
-    for argv, status in (
-        (("mp", "--l", "2", "--y", "1/2", "--no-timestamp"), 0),
-        (("mean-oracle", "--l", "x"), 1),
-        (("census", "--b", "1"), 1),
-    ):
-        assert cli.main(list(argv)) == status
-    capsys.readouterr()
+    for name, argv in COMMAND_CASES.items():
+        assert cli.main([name, *argv, "--no-timestamp"]) == 0, name
+    assert cli.main(["mean-oracle", "--l", "5", "--p", "2", "--n", "5",
+                     "--dist", "gaussian"]) == 1  # refused by the handler
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cost guard" in err and "usage" not in err
 
-    # its usage line lists every command: an unknown command and leftover
-    # arguments are reported by the full parser
+    # help and every usage error go to the full parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or full())
+    for argv in PARSER_CASES:
+        with contextlib.suppress(SystemExit):  # --help
+            assert cli.main(list(argv)) in (0, 1)
+    assert len(built) == len(PARSER_CASES) - 1  # all but the bare bs-check
+    capsys.readouterr()
+    # whose usage line lists every command for an unknown command and for
+    # leftover arguments
     for argv in (("foo",), ("mp", "--l", "2", "--y", "1/2", "--wat", "1")):
         assert cli.main(list(argv)) == 1
         assert capsys.readouterr().err.startswith("usage: tracemoments [-h]\n")
-    assert len(built) == 2
+
+
+# values a flag of _COMMANDS may take in a well-formed call, and values it may not
+_INT_VALUES = ("0", "3", "12", "+4", " 5"), ("x", "1.5", "-3")
+_TEXT_VALUES = ("gaussian", "1/2", "1,0,3", "2,4,4,3,1,3", "a=b", ""), ("-1",)
+# what makes a call ill formed, though argparse may still accept it
+_FLAWS = ("bad value", "repeat", "equals", "prefix", "dash", "drop value", "drop flag",
+          "unknown", "help", "extra", "double dash")
+
+
+def _values(keywords):
+    if "choices" in keywords:
+        return tuple(keywords["choices"]), ("nope",)
+    return _INT_VALUES if keywords.get("type") is int else _TEXT_VALUES
+
+
+@st.composite
+def _calls(draw, name):
+    """(argv, flaw): the command `name` with a draw of its flags, and what was
+    done to make the call ill formed, or None."""
+    flags = dict((cli._NO_TIMESTAMP, *cli._COMMANDS[name][2]))
+    items = []
+    for flag, keywords in flags.items():
+        if keywords.get("required") or draw(st.booleans()):
+            switch = keywords.get("action") == "store_true"
+            items.append([flag] if switch else [flag, draw(st.sampled_from(_values(keywords)[0]))])
+    items = draw(st.permutations(items))
+    flaw = draw(st.sampled_from((None,) * 4 + _FLAWS))
+    # where the flaw goes: a flag with a value, any flag, or any place
+    if flaw in ("bad value", "equals", "drop value"):
+        places = [at for at, item in enumerate(items) if len(item) == 2]
+    elif flaw in _FLAWS[:7]:
+        places = range(len(items))
+    else:
+        places = range(len(items) + 1)
+    if not places:
+        flaw = None
+    elif flaw is not None:
+        at = draw(st.sampled_from(places))
+    if flaw == "bad value":
+        items[at][1] = draw(st.sampled_from(_values(flags[items[at][0]])[1]))
+    elif flaw == "repeat":
+        items.append(items[at])
+    elif flaw == "equals":
+        items[at] = ["=".join(items[at])]
+    elif flaw == "prefix":
+        flag = items[at][0]  # "--l" has no prefix, so it gains a letter
+        cut = draw(st.integers(3, len(flag) - 1)) if len(flag) > 3 else None
+        items[at] = [flag[:cut] if cut else flag + "x", *items[at][1:]]
+    elif flaw == "dash":  # a "-"-led value, or one after a switch
+        items[at] = [items[at][0], "-" + items[at][1]] if len(items[at]) == 2 else [
+            *items[at], "-1"
+        ]
+    elif flaw == "drop value":
+        items[at] = items[at][:1]
+    elif flaw == "drop flag":
+        del items[at]
+    elif flaw is not None:
+        token = {"unknown": "--wat", "extra": "extra", "double dash": "--",
+                 "help": draw(st.sampled_from(("--help", "-h")))}[flaw]
+        items.insert(at, [token])
+    return [name, *(token for item in items for token in item)], flaw
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_fast_read_declines_or_agrees_with_argparse(name, data):
+    argv, flaw = data.draw(_calls(name))
+    fast = cli._read(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(cli.build_parser().parse_args(argv))
+    except (ValueError, SystemExit):  # a usage error, or help
+        assert fast is None, argv
+        return
+    assert fast is not None or flaw is not None, argv  # only a flawed call declines
+    if fast is not None:
+        del expected["command"]
+        assert vars(fast) == expected, argv
