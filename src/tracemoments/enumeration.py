@@ -220,15 +220,6 @@ def _monomial(exponents: Iterable[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _census_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
-    """The memoized _enumerate_block(lengths, b, s).  A block with b > s is
-    read from its p <-> n mirror (lengths, s, b), which counts the same walks
-    read from their column side, so each pair of mirrors is enumerated once."""
-    if b > s:
-        return _census_block(lengths, s, b)
-    return _enumerate_block(lengths, b, s)
-
-
-def _enumerate_block(lengths: tuple[int, ...], b: int, s: int) -> Counter:
     """Partition pairs (pi, sigma) with |pi| = b and |sigma| = s, by monomial.
 
     A walk adds the monomial of its exponents.  A double walk adds that of its

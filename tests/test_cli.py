@@ -638,7 +638,11 @@ class _FixedClock(datetime):
         return datetime(2000, 1, 1, tzinfo=tz)
 
 
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+# the well-formed call of every command, which the command table reads
+WELL_FORMED_CASES = tuple((name, *argv, "--no-timestamp") for name, argv in COMMAND_CASES.items())
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES + WELL_FORMED_CASES, ids=" ".join)
 def test_parse_answers_as_the_full_parser(capsys, monkeypatch, argv):
     # the reference run sends every call through the full parser
     def outcome():
@@ -673,12 +677,16 @@ def test_well_formed_calls_build_no_parser(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cost guard" in err and "usage" not in err
 
-    # help and every usage error go to the full parser
+    # help and every usage error go to the full parser; help exits 0, a
+    # usage error returns 1, and the bare bs-check is well formed
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or full())
     for argv in PARSER_CASES:
-        with contextlib.suppress(SystemExit):  # --help
-            assert cli.main(list(argv)) in (0, 1)
-    assert len(built) == len(PARSER_CASES) - 1  # all but the bare bs-check
+        if "--help" in argv:
+            with pytest.raises(SystemExit, match="^0$"):
+                cli.main(list(argv))
+        else:
+            assert cli.main(list(argv)) == (0 if argv == ("bs-check",) else 1), argv
+    assert len(built) == len(PARSER_CASES) - 1
     capsys.readouterr()
     # whose usage line lists every command for an unknown command and for
     # leftover arguments

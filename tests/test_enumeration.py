@@ -43,7 +43,6 @@ from tracemoments.enumeration import (
     CostGuardError,
     MomentTerm,
     _census_block,
-    _enumerate_block,
     _label_strings,
     _row_orbits,
     census_by_seed,
@@ -453,13 +452,12 @@ def _nonzero(block):
 
 def test_census_blocks_are_symmetric_and_sum_to_the_oracle_untransposed():
     # a block counts partition pairs (pi, sigma) of the row and the column
-    # positions; reading every walk from its column side swaps them, so the
-    # memo reads a block with b > s from its mirror
+    # positions; reading every walk from its column side swaps them
     for lengths in MIRROR_LENGTHS:
         for b, s in product(range(1, sum(lengths) + 1), repeat=2):
-            block = _nonzero(_enumerate_block(lengths, b, s))
-            assert block == _nonzero(_enumerate_block(lengths, s, b)), (lengths, b, s)
-            assert block == _nonzero(_census_block(lengths, b, s)), (lengths, b, s)
+            assert _nonzero(_census_block(lengths, b, s)) == _nonzero(
+                _census_block(lengths, s, b)
+            ), (lengths, b, s)
     # a pair (pi, sigma) with |pi| = b and |sigma| = s stands for (p)_b (n)_s
     # labelled walks, so n^sum(l) times the value is a sum over blocks in
     # which p and n never trade places, on either side of p = n
@@ -617,29 +615,26 @@ def test_census_blocks_are_memoized_per_lengths_b_s():
     clear_caches()
     census = signature_census((2, 1), 3, 2)
     # the strings of 3 positions with w = 1, 2, 3 blocks, and the orbits of
-    # the rows, w = 2 and, for the mirror of the block s = 1, w = 1
+    # the rows, w = 2
     assert _label_strings.cache_info().currsize == 3
-    assert _row_orbits.cache_info().currsize == 2
+    assert _row_orbits.cache_info().currsize == 1
     assert census == reference_moment_polynomial((2, 1), 3, 2)
     # r = 3, b = 2 merges the blocks s = 1, 2, 3 of (2, 1); each block holds
     # every pair (pi, sigma) with |pi| = 2 and |sigma| = s, weighed by pi's
-    # rotation orbit, and the block s = 1 is its memoized mirror b = 1, s = 2
-    assert _census_block.cache_info().currsize == 4
+    # rotation orbit
+    assert _census_block.cache_info().currsize == 3
     # a second r for the same (lengths, b) reuses the blocks s = 2, 3 it admits
     hits = _census_block.cache_info().hits
     assert signature_census((2, 1), 4, 2) == reference_moment_polynomial((2, 1), 4, 2)
-    assert _census_block.cache_info().currsize == 4
+    assert _census_block.cache_info().currsize == 3
     assert _census_block.cache_info().hits == hits + 2
     # the split point is part of the key, and so are b and s
     _census_block((1, 2), 2, 2)
-    assert _census_block.cache_info().currsize == 5
-    # b = 1 finds the mirror block s = 2 memoized, and adds s = 3
-    hits = _census_block.cache_info().hits
+    assert _census_block.cache_info().currsize == 4
     assert signature_census((2, 1), 3, 1) == reference_moment_polynomial((2, 1), 3, 1)
     assert _census_block.cache_info().currsize == 6
-    assert _census_block.cache_info().hits == hits + 1
     assert signature_census((3,), 3, 2) == reference_moment_polynomial((3,), 3, 2)
-    assert _census_block.cache_info().currsize == 10
+    assert _census_block.cache_info().currsize == 9
     clear_caches()
     assert _census_block.cache_info().currsize == 0
     # the partition strings and their orbits go too, so the next census
@@ -660,16 +655,9 @@ def test_exact_trace_moment_visits_one_row_per_rotation_orbit(l, monkeypatch):
     monkeypatch.setattr(enumeration, "_walk_counts", counted)
     clear_caches()
     exact_trace_moment(l, 50, 100, preset_moments("gaussian", 2 * l), allow_large=True)
-    # the columns with s blocks against one row per rotation orbit of the set
-    # partitions of l positions with b blocks, for b <= s only: a block with
-    # b > s is read from its mirror.  By number of blocks, the orbits number
-    # 1, 3, 2, 1 at l = 4 and 1, 3, 5, 2, 1 at l = 5, and the columns (Stirling
-    # numbers) 1, 7, 6, 1 and 1, 15, 25, 10, 1
-    orbits, columns = {4: ((1, 3, 2, 1), (1, 7, 6, 1)),
-                       5: ((1, 3, 5, 2, 1), (1, 15, 25, 10, 1))}[l]
-    assert len(calls) == sum(
-        orbits[b] * columns[s] for b, s in product(range(l), repeat=2) if b <= s
-    )
+    # every column, Bell(l) of them, against one row per rotation orbit of the
+    # set partitions of l positions: 7 at l = 4 and 12 at l = 5
+    assert len(calls) == {4: 7 * 15, 5: 12 * 52}[l]
 
 
 @pytest.mark.parametrize(

@@ -1,23 +1,24 @@
 """Paired A/B runs of the benchmark between two commits.
 
-    python3 tools/ab.py BASE [HEAD] [--pairs 10] [--seconds 30] [--workload W]...
+    python3 tools/ab.py BASE [HEAD] --out BENCH_<k>.json
 
 Run from a git checkout.  Each commit is `git archive`d into a temporary
 directory, and each tree runs its own `perfbench/run.py --workload W --seed S
---seconds T`, so the benchmark code is whatever that commit holds.  For each
-workload, N pairs run one after the other; both sides of a pair share the seed
-(pair i uses seed first + i), and the side that runs first alternates from
-pair to pair, because the host's speed drifts over minutes.
+--seconds T`, so the benchmark code is whatever that commit holds.  The
+workloads and the run length T are those of the head's BENCHMARK.json, the
+same on both sides.  For each workload, ten pairs run one after the other;
+both sides of pair i share the seed i, and the side that runs first
+alternates from pair to pair, because the host's speed drifts over minutes.
 
-The report goes to BENCH_<k>.json at the top of the checkout (the lowest k not
-yet used, or `--out`).  Per workload and end-to-end metric of BENCHMARK.json it
-gives, scaled and unscaled, both medians, the base's quartiles and the pairs
-the head won (ties count for neither), and whether the head's gain clears the
-rule for claiming one: at least nine tenths of the pairs won and the medians
-apart by more than the base's interquartile range.  A metric whose scaled and
-unscaled medians move in opposite directions is marked as noise.  Every run's
-figures, the speed probe's `reference_ms`, the environment, both commits and
-the command are kept too.
+The report goes to the file `--out` names.  Per workload and end-to-end
+metric of BENCHMARK.json it gives, scaled and unscaled, both medians, the
+base's quartiles and the pairs the head won (ties count for neither), and
+whether the head's gain clears the rule for claiming one: at least nine
+tenths of the pairs won and the medians apart by more than the base's
+interquartile range.  A metric whose scaled and unscaled medians move in
+opposite directions is marked as noise.  Every run's figures, the speed
+probe's `reference_ms`, the environment, both commits and the command are
+kept too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("base", "head")
+PAIRS = 10
 ENV_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
 
 
@@ -120,32 +122,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def _next_out(root: Path) -> Path:
-    k = 0
-    while (root / f"BENCH_{k}.json").exists():
-        k += 1
-    return root / f"BENCH_{k}.json"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the commit compared against")
     parser.add_argument("head", nargs="?", default="HEAD", help="default HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="run length; default BENCHMARK.json's run_seconds")
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run; default every one in BENCHMARK.json")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--out", type=Path, help="default BENCH_<k>.json, k unused")
+    parser.add_argument("--out", type=Path, required=True, help="the report to write")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
-    root = Path(_git("rev-parse", "--show-toplevel"))
     commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in zip(SIDES, (args.base, args.head))}
-    out = args.out or _next_out(root)
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
         for side, tree in trees.items():
@@ -153,21 +138,19 @@ def main(argv: list[str] | None = None) -> int:
             _export(commits[side], tree)
         # the head's benchmark declaration names the workloads and metrics
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds or spec["run_seconds"]
-        workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
         env, results = None, {}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = []
-            for i in range(args.pairs):
-                seed = args.seed + i
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for seed in range(1, PAIRS + 1):
+                order = SIDES if seed % 2 else SIDES[::-1]
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
                     report, result = _run(trees[side], workload, seed, seconds)
                     env = env or {k: report["env"][k] for k in ENV_KEYS}
                     run[side] = _figures(report, result)
                 runs.append(run)
-                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
+                print(f"{workload} pair {seed}/{PAIRS}: " + ", ".join(
                     f"{side} req_p50_ms {run[side]['scaled']['req_p50_ms']:.3f}"
                     for side in SIDES), file=sys.stderr, flush=True)
             results[workload] = {
@@ -185,13 +168,13 @@ def main(argv: list[str] | None = None) -> int:
                                *(sys.argv[1:] if argv is None else argv)]),
         "base": {"ref": args.base, "commit": commits["base"]},
         "head": {"ref": args.head, "commit": commits["head"]},
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "seconds": seconds,
         "env": {**env, "platform": platform.platform()},
         "workloads": results,
     }
-    out.write_text(json.dumps(bench, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
