@@ -15,12 +15,9 @@ import importlib
 from .closedform import (
     A_coeff,
     B_coeff,
-    C_coeff,
     C_coeffs,
-    D_coeff,
     D_coeffs,
     binom,
-    bs_cov_coefficient,
     bs_cov_coefficients,
     bs_mean,
     bs_mean_coefficients,

@@ -234,7 +234,7 @@ _COMMANDS = {
         ("--l", _INT), ("--y", {"required": True, "help": "ratio as a rational, e.g. 1/2"}),
     )),
     "bs-check": (_cmd_bs_check, "comparison identities for the classical limits", (
-        ("--max-l", {"type": int, "default": 20}),
+        ("--max-l", {"type": int, "default": None}),
     )),
     "graph": (_cmd_graph, "inspect the graph of a route", (
         ("--route", {"required": True, "help": "comma-separated labels, e.g. 2,4,4,3,1,3"}),

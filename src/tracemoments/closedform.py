@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Sequence
 
 from .weights import AffineAlpha, Rational
@@ -76,12 +76,6 @@ def C_coeffs(l1: int, l2: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def C_coeff(l1: int, l2: int, b: int) -> int:
-    """Leading covariance coefficient at black count b."""
-    _check_range(1 <= b <= l1 + l2, f"need 1 <= b <= l1+l2, got b={b}")
-    return C_coeffs(l1, l2)[b]
-
-
 def D_coeffs(l1: int, l2: int) -> tuple[int, ...]:
     """Fourth-moment corrections to the covariance coefficients, b = 0..l1+l2; 0 at b = 0."""
     _check_powers(l1, l2)
@@ -96,12 +90,6 @@ def D_coeffs(l1: int, l2: int) -> tuple[int, ...]:
         )
         coeffs[b] = factorial(b) * factorial(total_l - b) * inner
     return tuple(coeffs)
-
-
-def D_coeff(l1: int, l2: int, b: int) -> int:
-    """Fourth-moment correction to the covariance coefficient at black count b."""
-    _check_range(1 <= b <= l1 + l2, f"need 1 <= b <= l1+l2, got b={b}")
-    return D_coeffs(l1, l2)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +119,7 @@ def theorem1_mean(l: int, p: int, n: int) -> tuple[AffineAlpha, tuple[ExpansionT
     value = AffineAlpha()
     terms: list[ExpansionTerm] = []
     for b in range(1, min(l, p) + 1):
-        tree_part = Fraction(factorial(l) * binom(l - 1, b - 1))
+        tree_part = Fraction(count_colored_trees(l, b))
         ring_part = AffineAlpha(A_coeff(l, b) - 3 * B_coeff(l, b), Fraction(B_coeff(l, b)))
         terms.append(
             ExpansionTerm(b, tree_part, ring_part, f"O(p^{b}/n^{b + 1})")
@@ -263,14 +251,11 @@ def count_trees_per_adjacency(degrees: Sequence[int]) -> int:
 
 
 def count_sprouting(l0: int, b_prime: int, w_prime: int) -> int:
-    """Sprouting graphs of a fixed seed with given black/white sprout counts."""
+    """Sprouting graphs of a fixed seed with given black/white sprout counts:
+    l!^2 / ((l0+b')! (l0+w')!) with l = l0+b'+w', two falling factorials."""
     _check_range(l0 >= 1 and b_prime >= 0 and w_prime >= 0, "need l0 >= 1 and b', w' >= 0")
-    value = Fraction(
-        factorial(l0 + b_prime + w_prime) ** 2,
-        factorial(l0 + b_prime) * factorial(l0 + w_prime),
-    )
-    assert value.denominator == 1
-    return value.numerator
+    l = l0 + b_prime + w_prime
+    return perm(l, w_prime) * perm(l, b_prime)
 
 
 ONE_DIRECTIONAL = "one-d"
@@ -442,9 +427,3 @@ def bs_cov_coefficients(l1: int, l2: int) -> tuple[int, ...]:
             for s in range(shift, total_l)
         )
     return tuple(coeffs)
-
-
-def bs_cov_coefficient(l1: int, l2: int, b: int) -> Fraction:
-    """Coefficient of y^b in the classical limiting covariance of (x^l1, x^l2)."""
-    _check_range(1 <= b <= l1 + l2, f"need 1 <= b <= l1+l2, got b={b}")
-    return Fraction(bs_cov_coefficients(l1, l2)[b])

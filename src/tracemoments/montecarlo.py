@@ -635,20 +635,19 @@ def oracle_references(
     """
     from .enumeration import CostGuardError, exact_trace_covariance, exact_trace_moment
 
-    max_l = max(config.l_list)
+    # the longest covariance, (max_l, max_l), reads moments up to 4 max_l
+    moments = preset_moments(config.distribution, 4 * max(config.l_list))
     means: dict[int, Fraction] = {}
-    mean_moments = preset_moments(config.distribution, max(4, 2 * max_l))
     for l in config.l_list:
         means[l] = exact_trace_moment(
-            l, config.p, config.n, mean_moments, allow_large=allow_large
+            l, config.p, config.n, moments, allow_large=allow_large
         ).value
     covs: dict[tuple[int, int], Fraction] = {}
     for a, l1 in enumerate(config.l_list):
         for l2 in config.l_list[a:]:
-            cov_moments = preset_moments(config.distribution, 2 * (l1 + l2))
             try:
                 covs[(l1, l2)] = exact_trace_covariance(
-                    l1, l2, config.p, config.n, cov_moments, allow_large=allow_large
+                    l1, l2, config.p, config.n, moments, allow_large=allow_large
                 )
             except CostGuardError:
                 pass

@@ -39,9 +39,6 @@ class AffineAlpha:
     def __sub__(self, other: "AffineAlpha") -> "AffineAlpha":
         return AffineAlpha(self.c0 - other.c0, self.c1 - other.c1)
 
-    def __neg__(self) -> "AffineAlpha":
-        return AffineAlpha(-self.c0, -self.c1)
-
     def scale(self, factor: Rational) -> "AffineAlpha":
         factor = Fraction(factor)
         return AffineAlpha(self.c0 * factor, self.c1 * factor)

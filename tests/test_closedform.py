@@ -13,12 +13,9 @@ from hypothesis import strategies as st
 from tracemoments.closedform import (
     A_coeff,
     B_coeff,
-    C_coeff,
     C_coeffs,
-    D_coeff,
     D_coeffs,
     binom,
-    bs_cov_coefficient,
     bs_cov_coefficients,
     bs_mean,
     bs_mean_coefficients,
@@ -72,22 +69,19 @@ def test_B_coeff():
 
 
 def test_C_D_examples():
-    assert C_coeff(1, 1, 1) == 2
-    assert C_coeff(1, 1, 2) == 0
-    assert D_coeff(1, 1, 1) == 1
-    assert D_coeff(1, 1, 2) == 0
-    assert D_coeff(2, 2, 1) == 24  # frozen from the formula, census cross-checked
+    assert C_coeffs(1, 1) == (0, 2, 0)
+    assert D_coeffs(1, 1) == (0, 1, 0)
+    assert D_coeffs(2, 2)[1] == 24  # frozen from the formula, census cross-checked
     # frozen values for the symmetric pair (2, 3)
-    assert [C_coeff(2, 3, b) for b in range(1, 6)] == [288, 720, 720, 288, 0]
-    assert [C_coeff(3, 2, b) for b in range(1, 6)] == [288, 720, 720, 288, 0]
+    assert C_coeffs(2, 3) == (0, 288, 720, 720, 288, 0)
+    assert C_coeffs(3, 2) == (0, 288, 720, 720, 288, 0)
 
 
 def test_C_D_symmetry():
     for l1 in range(1, 9):
         for l2 in range(1, 9):
-            for b in range(1, l1 + l2 + 1):
-                assert C_coeff(l1, l2, b) == C_coeff(l2, l1, b)
-                assert D_coeff(l1, l2, b) == D_coeff(l2, l1, b)
+            assert C_coeffs(l1, l2) == C_coeffs(l2, l1)
+            assert D_coeffs(l1, l2) == D_coeffs(l2, l1)
 
 
 def test_theorem1_mean_examples():
@@ -325,10 +319,9 @@ def test_bs_mean():
 
 
 def test_bs_cov_coefficient_examples():
-    assert bs_cov_coefficient(1, 1, 1) == 2
-    assert bs_cov_coefficient(1, 1, 2) == 0
-    expected = Fraction(C_coeff(3, 2, 4), math.factorial(4) * math.factorial(1))
-    assert bs_cov_coefficient(3, 2, 4) == expected
+    assert bs_cov_coefficients(1, 1) == (0, 2, 0)
+    expected = Fraction(C_coeffs(3, 2)[4], math.factorial(4) * math.factorial(1))
+    assert bs_cov_coefficients(3, 2)[4] == expected
 
 
 def test_covariance_rows_match_per_b_references():
@@ -344,15 +337,9 @@ def test_covariance_rows_match_per_b_references():
                 assert d_row[b] == reference_D_coeff(l1, l2, b)
 
 
-def test_covariance_wrappers_index_their_rows():
-    assert bs_cov_coefficient(3, 2, 4) == Fraction(bs_cov_coefficients(3, 2)[4])
-    assert type(bs_cov_coefficient(3, 2, 4)) is Fraction
-    assert type(C_coeff(3, 2, 4)) is int and type(D_coeff(3, 2, 4)) is int
-    for coefficient in (bs_cov_coefficient, C_coeff, D_coeff):
-        for b in (0, 6):
-            with pytest.raises(ValueError, match="need 1 <= b <= l1\\+l2"):
-                coefficient(3, 2, b)
+def test_covariance_rows_are_integers_and_refuse_bad_powers():
     for row in (bs_cov_coefficients, C_coeffs, D_coeffs):
+        assert all(type(c) is int for c in row(3, 2))
         with pytest.raises(ValueError, match="l1, l2 >= 1"):
             row(0, 2)
 

@@ -167,7 +167,6 @@ def test_affine_alpha_algebra(a0, a1, b0, b1, s, alpha):
     assert (x + y).evaluate(alpha) == x.evaluate(alpha) + y.evaluate(alpha)
     assert (x - y).evaluate(alpha) == x.evaluate(alpha) - y.evaluate(alpha)
     assert x.scale(s).evaluate(alpha) == s * x.evaluate(alpha)
-    assert (-x).evaluate(alpha) == -x.evaluate(alpha)
     assert AffineAlpha.constant(s).evaluate(alpha) == s
 
 

@@ -9,6 +9,7 @@ workloads and the run length T are those of the head's BENCHMARK.json, the
 same on both sides.  For each workload, ten pairs run one after the other;
 both sides of pair i share the seed i, and the side that runs first
 alternates from pair to pair, because the host's speed drifts over minutes.
+Before the pairs, each tree runs its own tier-1 suite once, base first.
 
 The report goes to the file `--out` names.  Per workload and end-to-end
 metric of BENCHMARK.json it gives, scaled and unscaled, both medians, the
@@ -18,7 +19,8 @@ tenths of the pairs won and the medians apart by more than the base's
 interquartile range.  A metric whose scaled and unscaled medians move in
 opposite directions is marked as noise.  Every run's figures, the speed
 probe's `reference_ms`, the environment, both commits and the command are
-kept too.
+kept too, and so are each side's tier-1 wall time, exit status, summary line
+and ten slowest tests.
 """
 
 from __future__ import annotations
@@ -28,16 +30,20 @@ import json
 import math
 import os
 import platform
+import re
 import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("base", "head")
 PAIRS = 10
 ENV_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=10")
 
 
 def _git(*args: str) -> str:
@@ -54,13 +60,31 @@ def _export(commit: str, into: Path) -> None:
         raise RuntimeError(f"git archive {commit} failed")
 
 
+def _env(**extra: str) -> dict:
+    return {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"}, **extra}
+
+
+def _tier1(tree: Path) -> dict:
+    """One tier-1 run in `tree`: its wall time, exit status, summary line and
+    ten slowest tests."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=_env(PYTHONPATH="src"),
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    return {
+        "wall_s": round(time.perf_counter() - start, 2),
+        "returncode": proc.returncode,
+        "summary": lines[-1].strip("= ") if lines else "",
+        "slowest": [line for line in lines if re.match(r"\d+\.\d+s \w+ ", line)],
+    }
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One benchmark run in `tree`: (report, result line)."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=tree, env=env, capture_output=True, text=True,
+        cwd=tree, env=_env(), capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{tree.name} {workload} seed {seed} exited "
@@ -139,6 +163,11 @@ def main(argv: list[str] | None = None) -> int:
         # the head's benchmark declaration names the workloads and metrics
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
         seconds = spec["run_seconds"]
+        tier1 = {}
+        for side in SIDES:
+            tier1[side] = _tier1(trees[side])
+            print(f"tier-1 {side}: {tier1[side]['wall_s']} s, {tier1[side]['summary']}",
+                  file=sys.stderr, flush=True)
         env, results = None, {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = []
@@ -171,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "seconds": seconds,
         "env": {**env, "platform": platform.platform()},
+        "tier1": {"command": shlex.join(["PYTHONPATH=src", "python3", *TIER1]), **tier1},
         "workloads": results,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
