@@ -32,13 +32,15 @@ def _check_range(cond: bool, message: str) -> None:
 # expansion coefficients
 
 
+def _ring_bracket(l: int, b: int) -> int:
+    """C(2l, 2b) + (2b - 1) C(l, b)^2: twice A_coeff(l, b) / (b! (l - b)!), 1 <= b <= l."""
+    return comb(2 * l, 2 * b) + (2 * b - 1) * comb(l, b) ** 2
+
+
 def A_coeff(l: int, b: int) -> Fraction:
     """Ring contribution to the order-(l, b) mean coefficient."""
     _check_range(1 <= b <= l, f"need 1 <= b <= l, got b={b}, l={l}")
-    return Fraction(
-        factorial(b) * factorial(l - b) * (binom(2 * l, 2 * b) + (2 * b - 1) * binom(l, b) ** 2),
-        2,
-    )
+    return Fraction(factorial(b) * factorial(l - b) * _ring_bracket(l, b), 2)
 
 
 def B_coeff(l: int, b: int) -> int:
@@ -169,7 +171,7 @@ def corollary_mean_ratio(l: int, p: int, n: int) -> MeanRatioExpansion:
     y = Fraction(p, n)
     leading = [Fraction(0)] * (l + 1)
     for b in range(1, l + 1):
-        leading[b] = Fraction(binom(l, b - 1) * binom(l - 1, b - 1), b)
+        leading[b] = Fraction(_narayana(l, b))
     correction = [AffineAlpha()] * (l + 1)
     for b in range(1, l):
         const = Fraction(binom(2 * l, 2 * b), 2) - Fraction(binom(l, b) ** 2, 2)
@@ -329,32 +331,36 @@ def count_bipartite_forced_edge(
             value //= factorial(part)
         return value
 
-    count = Fraction(
-        multinomial(b, [x - 1 for x in e]) * multinomial(w, [x - 1 for x in d])
-    )
+    count = multinomial(b, [x - 1 for x in e]) * multinomial(w, [x - 1 for x in d])
     if b > 0 and w > 0:
-        count *= 1 - Fraction((b - e[0] + 1) * (w - d[0] + 1), b * w)
-    assert count.denominator == 1
-    return count.numerator
+        # count * (1 - (b - e1 + 1)(w - d1 + 1) / (bw)), which is an integer
+        count, remainder = divmod(count * (b * w - (b - e[0] + 1) * (w - d[0] + 1)), b * w)
+        assert remainder == 0
+    return count
 
 
 def taylor_identity_check(l: int, b: int) -> bool:
     """Exact check of the binomial identity folding the two ring sums into one."""
     _check_range(1 <= b < l, f"need 1 <= b < l, got b={b}, l={l}")
+    # every binomial index below lies in 0..l, so comb needs no range guard
     lhs = sum(
-        (2 * m - 1) * binom(l, b - m) * binom(l, b + m - 1)
+        (2 * m - 1) * comb(l, b - m) * comb(l, b + m - 1)
         for m in range(1, min(b, l - b + 1) + 1)
     )
     lhs += sum(
-        (2 * m + 1) * binom(l, b - m) * binom(l, b + m)
+        (2 * m + 1) * comb(l, b - m) * comb(l, b + m)
         for m in range(1, min(b, l - b) + 1)
     )
-    rhs = Fraction(binom(2 * l, 2 * b) + (2 * b - 1) * binom(l, b) ** 2, 2)
-    return Fraction(lhs) == rhs
+    return 2 * lhs == _ring_bracket(l, b)
 
 
 # ---------------------------------------------------------------------------
 # comparison with the classical limit formulas
+
+
+def _narayana(l: int, b: int) -> int:
+    """Narayana number C(l, b-1) C(l-1, b-1) / b, an integer, 1 <= b <= l."""
+    return comb(l, b - 1) * comb(l - 1, b - 1) // b
 
 
 def mp_moment(l: int, y: Rational) -> Fraction:
@@ -362,13 +368,7 @@ def mp_moment(l: int, y: Rational) -> Fraction:
     _check_range(l >= 1, f"need l >= 1, got {l}")
     y = Fraction(y)
     _check_range(y >= 0, f"need y >= 0, got y={y}")
-    return sum(
-        (
-            Fraction(binom(l, b - 1) * binom(l - 1, b - 1), b) * y ** (b - 1)
-            for b in range(1, l + 1)
-        ),
-        Fraction(0),
-    )
+    return sum((_narayana(l, b) * y ** (b - 1) for b in range(1, l + 1)), Fraction(0))
 
 
 def bs_mean_coefficients(l: int) -> tuple[Fraction, ...]:
@@ -378,15 +378,15 @@ def bs_mean_coefficients(l: int) -> tuple[Fraction, ...]:
     powers, so the result stays exact without ever forming a square root.
     """
     _check_range(l >= 1, f"need l >= 1, got {l}")
-    # quarter * sum over t of [(-1)^t + 1] C(2l, t) s^t with s^2 = y
-    coeffs = [Fraction(0)] * (l + 1)
+    # in quarters: sum over t of [(-1)^t + 1] C(2l, t) s^t with s^2 = y
+    quarters = [0] * (l + 1)
     for t in range(0, 2 * l + 1):
-        total = binom(2 * l, t) * ((-1) ** t + 1)
-        if total and t % 2 == 0:
-            coeffs[t // 2] += Fraction(total, 4)
+        total = comb(2 * l, t) * ((-1) ** t + 1)
+        if total:  # the odd powers of s cancel
+            quarters[t // 2] += total
     for j in range(0, l + 1):
-        coeffs[j] -= Fraction(binom(l, j) ** 2, 2)
-    return tuple(coeffs)
+        quarters[j] -= 2 * comb(l, j) ** 2
+    return tuple(Fraction(q, 4) for q in quarters)
 
 
 def bs_mean(l: int, y: Rational) -> Fraction:
@@ -401,29 +401,34 @@ def bs_mean(l: int, y: Rational) -> Fraction:
 def bs_cov_coefficients(l1: int, l2: int) -> tuple[int, ...]:
     """Coefficients of y^b, b = 0..l1+l2, in the classical limiting covariance of x^l1, x^l2.
 
-    The sum over m depends on (k1, k2) only, so it runs once per pair and is
-    grouped by s = k1 + k2 into by_sum[s]; each coefficient then reads
-    2 sum_s C(s, shift) (-1)^(s - shift) by_sum[s] with shift = l1 + l2 - b.
+    The classical sum is 2 sum over k1 < l1, k2 <= l2 of C(l1, k1) C(l2, k2)
+    C(k1+k2, shift) (-1)^(k1+k2-shift) times an inner sum over m, with
+    shift = l1 + l2 - b.  With j = k1 + m and s = k1 + k2 the inner sum is
+    sum_{j > k1} (j - k1) first[j] second[j + l2 - 1 - s] = T1 - k1 T0, where
+    T0 and T1 (weighted by j) are suffix sums over j > k1 for that s; one
+    downward pass over k1 per s grows them and fills by_sum[s], the sum over
+    k1 + k2 = s.  The sum over s of C(s, shift) (-1)^(s-shift) by_sum[s] is
+    the coefficient of z^shift in sum_s by_sum[s] (z - 1)^s, taken by Horner's
+    rule.  The row costs O(l1 (l1 + l2)) products and O((l1 + l2)^2)
+    subtractions, and no binomial or sign per term.
     """
     _check_powers(l1, l2)
     total_l = l1 + l2
     row1 = [comb(l1, k) for k in range(l1 + 1)]
     row2 = [comb(l2, k) for k in range(l2 + 1)]
     first = [comb(2 * l1 - 1 - j, l1 - 1) for j in range(l1 + 1)]  # j = k1 + m
-    second = [comb(l2 + i, l2 - 1) for i in range(total_l)]  # i = l2 - 1 - k2 + m
+    second = [comb(l2 + i, l2 - 1) for i in range(total_l)]  # i = j + l2 - 1 - s
     by_sum = [0] * total_l  # s = k1 + k2 <= l1 + l2 - 1
-    for k1 in range(0, l1):
-        for k2 in range(0, l2 + 1):
-            inner = sum(
-                m * first[k1 + m] * second[l2 - 1 - k2 + m]
-                for m in range(1, l1 - k1 + 1)
-            )
-            by_sum[k1 + k2] += row1[k1] * row2[k2] * inner
-    coeffs = [0] * (total_l + 1)
-    for b in range(1, total_l + 1):
-        shift = total_l - b
-        coeffs[b] = 2 * sum(
-            (-1) ** (s - shift) * comb(s, shift) * by_sum[s]
-            for s in range(shift, total_l)
-        )
-    return tuple(coeffs)
+    for s in range(total_l):
+        t0 = t1 = 0
+        for k1 in range(l1 - 1, max(0, s - l2) - 1, -1):
+            term = first[k1 + 1] * second[k1 + l2 - s]  # j = k1 + 1 joins the suffix
+            t0 += term
+            t1 += (k1 + 1) * term
+            if k1 <= s:
+                by_sum[s] += row1[k1] * row2[s - k1] * (t1 - k1 * t0)
+    poly: list[int] = []  # coefficients of z^0, z^1, ...
+    for value in reversed(by_sum):
+        # poly <- poly * (z - 1) + value
+        poly = [high - low for high, low in zip([value, *poly], [*poly, 0])]
+    return (0, *(2 * c for c in reversed(poly)))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterator
 
 from . import closedform, enumeration
@@ -34,9 +34,7 @@ def _suite_bs_mean(max_l: int, allow_large: bool) -> _Cases:
         for j in range(0, l + 1):
             expected = Fraction(0)
             if 1 <= j <= l - 1:
-                expected = Fraction(closedform.binom(2 * l, 2 * j), 2) - Fraction(
-                    closedform.binom(l, j) ** 2, 2
-                )
+                expected = Fraction(comb(2 * l, 2 * j) - comb(l, j) ** 2, 2)
             ok = coeffs[j] == expected
             yield [] if ok else [f"mean coefficient mismatch at l={l}, j={j}"]
 

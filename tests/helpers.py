@@ -455,6 +455,19 @@ def reference_bs_cov_coefficient(l1: int, l2: int, b: int) -> Fraction:
     return total
 
 
+def reference_bs_mean_coefficients(l: int) -> tuple[Fraction, ...]:
+    """Coefficients of y^j in the classical limiting mean, summed in Fractions
+    over the (1 +- sqrt(y))^2l expansion term by term."""
+    coeffs = [Fraction(0)] * (l + 1)
+    for t in range(0, 2 * l + 1):
+        total = binom(2 * l, t) * ((-1) ** t + 1)
+        if total and t % 2 == 0:
+            coeffs[t // 2] += Fraction(total, 4)
+    for j in range(0, l + 1):
+        coeffs[j] -= Fraction(binom(l, j) ** 2, 2)
+    return tuple(coeffs)
+
+
 def sfc64_stream(seed: int, *spawn_key: int) -> np.random.Generator:
     """SFC64 seeded by SeedSequence(seed, spawn_key=spawn_key), built here
     rather than through the package, so the references check its keying."""

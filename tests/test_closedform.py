@@ -6,7 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import reference_bs_cov_coefficient, reference_C_coeff, reference_D_coeff
+from helpers import (
+    reference_bs_cov_coefficient,
+    reference_bs_mean_coefficients,
+    reference_C_coeff,
+    reference_D_coeff,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -318,6 +323,11 @@ def test_bs_mean():
     assert bs_mean_coefficients(2) == (0, 1, 0)
 
 
+def test_bs_mean_rows_match_the_fraction_reference():
+    for l in range(1, 31):
+        assert bs_mean_coefficients(l) == reference_bs_mean_coefficients(l)
+
+
 def test_bs_cov_coefficient_examples():
     assert bs_cov_coefficients(1, 1) == (0, 2, 0)
     expected = Fraction(C_coeffs(3, 2)[4], math.factorial(4) * math.factorial(1))
@@ -335,6 +345,15 @@ def test_covariance_rows_match_per_b_references():
                 assert bs_row[b] == reference_bs_cov_coefficient(l1, l2, b)
                 assert c_row[b] == reference_C_coeff(l1, l2, b)
                 assert d_row[b] == reference_D_coeff(l1, l2, b)
+
+
+@pytest.mark.parametrize("l1,l2", [(1, 24), (24, 1), (7, 19), (24, 24)])
+def test_bs_cov_rows_match_the_reference_at_unequal_and_large_pairs(l1, l2):
+    # the suffix pass's k1 range and the reference's loops differ most here
+    bs_row = bs_cov_coefficients(l1, l2)
+    assert bs_row[0] == 0
+    for b in range(1, l1 + l2 + 1):
+        assert bs_row[b] == reference_bs_cov_coefficient(l1, l2, b)
 
 
 def test_covariance_rows_are_integers_and_refuse_bad_powers():
